@@ -62,15 +62,9 @@ func main() {
 	eventsCap := flag.Int("events-cap", 256, "bounded diagnosis-event journal capacity (oldest overwritten)")
 	anomalyOn := flag.Bool("anomaly", true, "run the always-on anomaly pipeline on monitor sweeps (per-series baselines, SLO triggers, incident correlation)")
 	sloConfigPath := flag.String("slo-config", "", "JSON per-tenant SLO file ({\"default\": {...}, \"tenants\": {...}}); flag thresholds fill its unset fields")
-	var sloDropPPS float64
-	flag.Float64Var(&sloDropPPS, "slo-drop-pps", 50, "per-element drop rate (pkts/s between sweeps) that violates the SLO and triggers a diagnosis event")
-	flag.Float64Var(&sloDropPPS, "event-drop-threshold", 50, "alias for -slo-drop-pps (pre-pipeline name)")
-	var sloWindow time.Duration
-	flag.DurationVar(&sloWindow, "slo-window", 3*time.Second, "history window a triggered diagnosis event analyzes")
-	flag.DurationVar(&sloWindow, "event-window", 3*time.Second, "alias for -slo-window (pre-pipeline name)")
-	var sloCooldown time.Duration
-	flag.DurationVar(&sloCooldown, "slo-cooldown", 30*time.Second, "minimum spacing between diagnosis triggers per tenant")
-	flag.DurationVar(&sloCooldown, "event-cooldown", 30*time.Second, "alias for -slo-cooldown (pre-pipeline name)")
+	sloDropPPS := flag.Float64("slo-drop-pps", 50, "per-element drop rate (pkts/s between sweeps) that violates the SLO and triggers a diagnosis event")
+	sloWindow := flag.Duration("slo-window", 3*time.Second, "history window a triggered diagnosis event analyzes")
+	sloCooldown := flag.Duration("slo-cooldown", 30*time.Second, "minimum spacing between diagnosis triggers per tenant")
 	ewmaBands := flag.Float64("ewma-bands", 6, "EWMA deviation-band multiplier for baseline detectors on non-drop series")
 	incidentWindow := flag.Duration("incident-window", 5*time.Minute, "sliding window within which same-root-cause events fold into one incident")
 	incidentResolve := flag.Duration("incident-resolve-after", time.Minute, "quiet period after which an open incident resolves")
@@ -166,10 +160,10 @@ func main() {
 				}
 			}
 			sloCfg = sloCfg.WithBase(anomaly.SLO{
-				DropRatePPS: sloDropPPS,
+				DropRatePPS: *sloDropPPS,
 				Bands:       *ewmaBands,
-				Window:      anomaly.Duration(sloWindow),
-				Cooldown:    anomaly.Duration(sloCooldown),
+				Window:      anomaly.Duration(*sloWindow),
+				Cooldown:    anomaly.Duration(*sloCooldown),
 			})
 			pipe = anomaly.NewPipeline(store, journal, anomaly.Config{
 				SLO: sloCfg,

@@ -247,7 +247,7 @@ func runBottleneck() error {
 	gw := l.c.AddHost("gw", 0)
 	l.c.RouteFlow("f0", cluster.HostEndpoint("gw"), cluster.VMEndpoint("m0", "vm0"))
 	l.c.RouteFlow("f1", cluster.HostEndpoint("gw"), cluster.VMEndpoint("m0", "vm1"))
-	l.c.Engine.AddFunc(func(now, dt time.Duration) {
+	l.c.AddPostTickFunc(func(now, dt time.Duration) {
 		for _, f := range []string{"f0", "f1"} {
 			bytes := int64(400e6 / 8 * dt.Seconds())
 			gw.EmitRaw(wireBatch(f, bytes))

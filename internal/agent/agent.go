@@ -7,6 +7,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -375,7 +376,7 @@ func (a *Agent) hello(msg *wire.Message) (*wire.Message, wire.Codec) {
 		ack.Hello.Stream = msg.Hello.Stream && a.AllowStream
 		ack.Hello.Sketch = msg.Hello.Sketch && a.AllowSketch
 	}
-	if a.Codec == wire.CodecJSON || msg.Hello == nil || !containsCodec(msg.Hello.Codecs, wire.CodecV2) {
+	if a.Codec == wire.CodecJSON || msg.Hello == nil || !slices.Contains(msg.Hello.Codecs, wire.CodecV2) {
 		if tel := a.tel.Load(); tel != nil {
 			tel.codecJSON.Inc()
 		}
@@ -396,15 +397,6 @@ func (a *Agent) hello(msg *wire.Message) (*wire.Message, wire.Codec) {
 		c.EnableSpans()
 	}
 	return ack, c
-}
-
-func containsCodec(codecs []string, want string) bool {
-	for _, c := range codecs {
-		if c == want {
-			return true
-		}
-	}
-	return false
 }
 
 // dispatch answers one request. The response echoes the request's

@@ -68,9 +68,6 @@ func (d *RateDetector) Eval(ts int64, v float64, maxGapNS int64) (rate float64, 
 	return (v - prevV) / (float64(gap) / 1e9), RateOK
 }
 
-// Seeded reports whether the detector holds a previous sample.
-func (d *RateDetector) Seeded() bool { return d.seeded }
-
 // LastTS returns the timestamp of the last accepted sample.
 func (d *RateDetector) LastTS() int64 { return d.prevTS }
 

@@ -203,9 +203,6 @@ func (c *Cluster) Close() {
 // scenario actuators that mutate machines.
 func (c *Cluster) AddPreTick(t sim.Ticker) { c.pre = append(c.pre, t) }
 
-// AddPreTickFunc registers a pre-phase function ticker.
-func (c *Cluster) AddPreTickFunc(f func(now, dt time.Duration)) { c.AddPreTick(sim.TickerFunc(f)) }
-
 // AddPostTick registers a ticker that runs serialized at the end of the
 // commit phase in both modes (after routing, feedback and window refresh).
 func (c *Cluster) AddPostTick(t sim.Ticker) { c.post = append(c.post, t) }
@@ -337,14 +334,6 @@ func (c *Cluster) Registry(m core.MachineID) *stats.Registry { return c.registri
 
 // Topology returns the tenant topology for the controller.
 func (c *Cluster) Topology() *core.Topology { return c.topo }
-
-// Assign records elements as belonging to a tenant's virtual network.
-func (c *Cluster) Assign(tid core.TenantID, m core.MachineID, kind core.ElementKind, capacityBps float64, ids ...core.ElementID) {
-	net := c.topo.Net(tid)
-	for _, id := range ids {
-		net.Add(id, core.ElementInfo{Machine: m, Kind: kind, CapacityBps: capacityBps})
-	}
-}
 
 // AssignStack assigns every virtualization-stack element of machine m to
 // the tenant (contending tenants share these).

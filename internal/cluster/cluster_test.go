@@ -143,3 +143,24 @@ func TestRawFloodDrops(t *testing.T) {
 		t.Fatal("pNIC admitted nothing")
 	}
 }
+
+// Per-tick scenario work registered with AddPostTickFunc must keep
+// running after Parallelize (Engine.AddFunc tickers are serial-only and
+// silently stop): N ticks, N calls, on both engines.
+func TestPostTickFuncSurvivesParallelize(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		c := New(time.Millisecond)
+		c.AddMachine(testMachineCfg("m0"))
+		c.AddMachine(testMachineCfg("m1"))
+		ticks := 0
+		c.AddPostTickFunc(func(now, dt time.Duration) { ticks++ })
+		if parallel {
+			c.Parallelize(2, 2, 1)
+		}
+		c.Run(25 * time.Millisecond)
+		c.Close()
+		if ticks != 25 {
+			t.Fatalf("parallel=%v: post-tick func ran %d times over 25 ticks", parallel, ticks)
+		}
+	}
+}

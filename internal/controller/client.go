@@ -7,6 +7,7 @@
 package controller
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -15,6 +16,7 @@ import (
 
 	"perfsight/internal/agent"
 	"perfsight/internal/core"
+	"perfsight/internal/session"
 	"perfsight/internal/telemetry"
 	"perfsight/internal/wire"
 )
@@ -97,9 +99,8 @@ type TCPClient struct {
 	Spans bool
 
 	mu         sync.Mutex
-	link       *agentLink // nil when disconnected
-	negotiated string     // codec of the last negotiation, for operators
-	frameBuf   []byte
+	link       *session.Session // nil when disconnected
+	negotiated string           // codec of the last connection, for operators
 	nextID     uint64
 	lastTrace  atomic.Uint64 // trace id of the most recent round trip
 
@@ -129,7 +130,7 @@ func (c *TCPClient) SkewOffset() (int64, bool) {
 	if c.link == nil {
 		return 0, false
 	}
-	return c.link.skew.Offset()
+	return c.link.SkewOffset()
 }
 
 // NegotiatedCodec reports the payload codec of the most recent
@@ -170,109 +171,59 @@ func (c *TCPClient) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.T
 	return c
 }
 
-// agentLink is one live connection and its session codec, bound
-// together structurally: the codec's intern tables and delta baselines
-// are connection-scoped, so client code can never hold a socket from one
-// dial with the codec state of another — a redial after a mid-delta-chain
-// kill always decodes against a freshly negotiated codec, never a stale
-// baseline.
-type agentLink struct {
-	conn net.Conn
-	sess wire.Codec
-
-	// spans reports whether the session negotiated span-decorated
-	// responses; skew is the connection-scoped clock-offset estimate for
-	// this agent, fed by every round trip's timestamp pair and reset by
-	// redialing (a fresh link gets a fresh estimator, so an agent restart
-	// with a stepped clock never inherits a stale offset).
-	spans bool
-	skew  *telemetry.SkewEstimator
-}
-
-// dropConn closes and forgets the cached link (connection + codec as a
-// pair).
+// dropConn closes and forgets the cached session.
 func (c *TCPClient) dropConn() {
 	if c.link != nil {
-		c.link.conn.Close()
+		c.link.Conn.Close()
 		c.link = nil
 	}
 }
 
-// negotiate runs the codec hello on a freshly dialed connection and
-// returns the link (connection + session codec + per-connection skew
-// estimator) to use for its lifetime. The hello itself is always JSON —
-// that is what makes the exchange safe against agents that predate v2:
-// they answer with a JSON error frame, and the client simply keeps the
-// JSON codec on the same connection. The ack's agent_ts seeds the skew
-// estimate before the first query.
-func (c *TCPClient) negotiate(conn net.Conn) (*agentLink, error) {
-	c.nextID++
-	hello := &wire.Message{
-		Type: wire.TypeHello,
-		ID:   c.nextID,
-		Hello: &wire.Hello{Codecs: []string{wire.CodecV2},
-			Delta: c.Delta, Sketch: c.Sketch, Spans: c.Spans},
-	}
-	payload, err := wire.Encode(hello)
+// connect dials the agent and opens a session on the connection, under
+// the same deadline as a request. The hello takes the message ID after the
+// request's; a JSON-pinned client sends none and spends no ID.
+func (c *TCPClient) connect() error {
+	conn, err := net.DialTimeout("tcp", c.Addr, c.Timeout)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("controller: dial agent %s: %w", c.Addr, err)
 	}
-	sendNS := time.Now().UnixNano()
-	if err := wire.WriteFrame(conn, payload); err != nil {
-		return nil, err
+	if c.Timeout > 0 {
+		if err := conn.SetDeadline(time.Now().Add(c.Timeout)); err != nil {
+			conn.Close()
+			return fmt.Errorf("controller: set deadline for agent %s: %w", c.Addr, err)
+		}
 	}
-	if c.bytesTx != nil {
-		c.bytesTx.Add(uint64(len(payload)) + 4)
+	if c.Codec != wire.CodecJSON {
+		c.nextID++
 	}
-	raw, err := wire.ReadFrameBuf(conn, &c.frameBuf)
-	recvNS := time.Now().UnixNano()
+	link, err := session.Open(conn, c.nextID,
+		session.Offer{Codec: c.Codec, Delta: c.Delta, Sketch: c.Sketch, Spans: c.Spans},
+		c.bytesTx, c.bytesRx)
 	if err != nil {
-		return nil, err
+		conn.Close()
+		return fmt.Errorf("controller: negotiate with agent %s: %w", c.Addr, err)
 	}
-	if c.bytesRx != nil {
-		c.bytesRx.Add(uint64(len(raw)) + 4)
-	}
-	resp, err := wire.Decode(raw)
-	if err != nil {
-		return nil, err
-	}
-	if resp.ID != hello.ID {
-		return nil, fmt.Errorf("controller: agent %s: hello response id %d for request %d", c.Addr, resp.ID, hello.ID)
-	}
-	link := &agentLink{conn: conn, skew: &telemetry.SkewEstimator{}}
-	if resp.AgentTS != 0 {
-		link.skew.Observe(sendNS, recvNS, resp.AgentTS, 0)
-	}
-	if resp.Type == wire.TypeHelloAck && resp.Hello != nil && containsCodec(resp.Hello.Codecs, wire.CodecV2) {
-		if c.negV2 != nil {
+	c.link = link
+	c.negotiated = link.Codec()
+	if c.Codec != wire.CodecJSON && c.negV2 != nil {
+		// A JSON-pinned client never negotiated, so it counts nothing.
+		if c.negotiated == wire.CodecV2 {
 			c.negV2.Inc()
+		} else {
+			c.negJSON.Inc()
 		}
-		c.negotiated = wire.CodecV2
-		sess := wire.NewV2Codec(c.Delta && resp.Hello.Delta)
-		if c.Spans && resp.Hello.Spans {
-			sess.EnableSpans()
-			link.spans = true
-		}
-		link.sess = sess
-		return link, nil
 	}
-	// Anything else — an old agent's error frame, or an ack that grants
-	// nothing — means the peer speaks JSON only.
-	if c.negJSON != nil {
-		c.negJSON.Inc()
-	}
-	c.negotiated = wire.CodecJSON
-	link.sess = wire.JSONCodec{}
-	return link, nil
+	return nil
 }
 
-func containsCodec(codecs []string, want string) bool {
-	for _, s := range codecs {
-		if s == want {
-			return true
-		}
+// stageOf names the trace stage a Send or Recv failure belongs to: codec
+// when the session's codec refused the message, transport otherwise.
+func stageOf(err error, codec telemetry.Stage) telemetry.Stage {
+	var ce *session.CodecError
+	if errors.As(err, &ce) {
+		return codec
 	}
-	return false
+	return telemetry.StageTransport
 }
 
 func (c *TCPClient) roundTrip(req *wire.Message) (*wire.Message, error) {
@@ -285,87 +236,48 @@ func (c *TCPClient) roundTrip(req *wire.Message) (*wire.Message, error) {
 	defer qt.End()
 	req.TraceID = qt.ID()
 
-	// Encoding happens inside try(), after negotiation: the payload codec
-	// is connection-scoped (intern tables, delta state), and a redial may
-	// renegotiate it. failStage names the stage of the most recent
-	// failure so the trace's structured status points at connect vs
-	// encode vs transport vs decode. Stage timings are recorded with
-	// explicit time.Now() pairs, not qt.Time closures — the closure
-	// allocates, and this path must stay allocation-free per sweep query.
+	// Encoding happens inside try(), after the session is open: the
+	// payload codec is connection-scoped (intern tables, delta state), and
+	// a redial renegotiates it. failStage names the stage of the most
+	// recent failure so the trace's structured status points at connect
+	// vs encode vs transport vs decode. Stage timings come back from the
+	// session as values, not qt.Time closures — the closure allocates, and
+	// this path must stay allocation-free per sweep query.
 	failStage := telemetry.StageConnect
 	try := func() (*wire.Message, error) {
 		if c.link == nil {
 			connStart := time.Now()
-			conn, err := net.DialTimeout("tcp", c.Addr, c.Timeout)
-			if err != nil {
+			if err := c.connect(); err != nil {
 				failStage = telemetry.StageConnect
-				return nil, fmt.Errorf("controller: dial agent %s: %w", c.Addr, err)
-			}
-			if c.Timeout > 0 {
-				if err := conn.SetDeadline(time.Now().Add(c.Timeout)); err != nil {
-					conn.Close()
-					failStage = telemetry.StageConnect
-					return nil, fmt.Errorf("controller: set deadline for agent %s: %w", c.Addr, err)
-				}
-			}
-			if c.Codec != wire.CodecJSON {
-				link, err := c.negotiate(conn)
-				if err != nil {
-					conn.Close()
-					failStage = telemetry.StageConnect
-					return nil, fmt.Errorf("controller: negotiate with agent %s: %w", c.Addr, err)
-				}
-				c.link = link
-			} else {
-				c.negotiated = wire.CodecJSON
-				c.link = &agentLink{conn: conn, sess: wire.JSONCodec{}, skew: &telemetry.SkewEstimator{}}
+				return nil, err
 			}
 			qt.Record(telemetry.StageConnect, time.Since(connStart))
 		}
 		link := c.link
 		if c.Timeout > 0 {
-			if err := link.conn.SetDeadline(time.Now().Add(c.Timeout)); err != nil {
+			if err := link.Conn.SetDeadline(time.Now().Add(c.Timeout)); err != nil {
 				failStage = telemetry.StageTransport
 				return nil, fmt.Errorf("controller: set deadline for agent %s: %w", c.Addr, err)
 			}
 		}
-		encStart := time.Now()
-		payload, err := link.sess.Encode(req)
-		qt.Record(telemetry.StageEncode, time.Since(encStart))
+		sent, err := link.Send(req)
+		qt.Record(telemetry.StageEncode, sent.Codec)
 		if err != nil {
-			failStage = telemetry.StageEncode
+			failStage = stageOf(err, telemetry.StageEncode)
 			return nil, err
 		}
-		wireStart := time.Now()
-		if err := wire.WriteFrame(link.conn, payload); err != nil {
-			failStage = telemetry.StageTransport
-			return nil, err
-		}
-		if c.bytesTx != nil {
-			c.bytesTx.Add(uint64(len(payload)) + 4)
-		}
-		raw, err := wire.ReadFrameBuf(link.conn, &c.frameBuf)
-		recvT := time.Now()
+		resp, got, err := link.Recv()
 		if err != nil {
-			failStage = telemetry.StageTransport
+			if failStage = stageOf(err, telemetry.StageDecode); failStage == telemetry.StageDecode {
+				qt.Record(telemetry.StageDecode, got.Codec)
+			}
 			return nil, err
 		}
-		if c.bytesRx != nil {
-			c.bytesRx.Add(uint64(len(raw)) + 4)
-		}
-		transport := recvT.Sub(wireStart)
-		decStart := time.Now()
-		resp, err := link.sess.Decode(raw)
-		qt.Record(telemetry.StageDecode, time.Since(decStart))
-		if err != nil {
-			failStage = telemetry.StageDecode
-			return nil, err
-		}
-		// Every response carrying the agent's clock feeds the link's skew
-		// estimate: offset = agent_ts − round-trip midpoint − handling/2.
-		if resp.AgentTS != 0 {
-			link.skew.Observe(wireStart.UnixNano(), recvT.UnixNano(), resp.AgentTS, resp.AgentNS)
-		}
+		qt.Record(telemetry.StageDecode, got.Codec)
+		transport := got.At.Sub(sent.At)
+		// Every response carrying the agent's clock feeds the session's
+		// skew estimate: offset = agent_ts − round-trip midpoint − handling/2.
+		link.ObserveReply(sent.At, got.At, resp)
 		// The synchronous round trip includes the agent's own handling
 		// time; subtract what the agent reports so the transport stage
 		// is wire time, not gather time.
@@ -382,9 +294,9 @@ func (c *TCPClient) roundTrip(req *wire.Message) (*wire.Message, error) {
 			}
 		}
 		qt.Record(telemetry.StageTransport, transport)
-		if len(resp.AgentSpans) > 0 {
-			ingestAgentSpans(qt, gatherID, resp.AgentSpans, wireStart.UnixNano(), recvT.UnixNano(), link.skew)
-		}
+		// The round trip brackets the agent's work exactly, so it is the
+		// window its spans are clamped into.
+		link.RemapSpans(qt, gatherID, resp.AgentSpans, sent.At.UnixNano(), got.At.UnixNano())
 		return resp, nil
 	}
 
@@ -429,32 +341,6 @@ func (c *TCPClient) roundTrip(req *wire.Message) (*wire.Message, error) {
 // trip — what an anomaly fired from this agent's records should
 // reference.
 func (c *TCPClient) LastTraceID() uint64 { return c.lastTrace.Load() }
-
-// ingestAgentSpans remaps one response's frame-local agent spans into
-// the query trace: span IDs are reassigned by the tracer, parents are
-// translated through the id table (parent 0 — the agent's root — is
-// re-anchored under the controller's gather span), and timestamps are
-// shifted by the link's clock-offset estimate then clamped into the
-// round-trip window so a nonsense agent clock can never produce a span
-// outside the query that carried it.
-func ingestAgentSpans(qt *telemetry.QueryTrace, gatherID uint64, spans []wire.Span, sendNS, recvNS int64, skew *telemetry.SkewEstimator) {
-	offset, _ := skew.Offset()
-	var ids [telemetry.MaxSpansPerTrace + 1]uint64
-	for i := range spans {
-		sp := &spans[i]
-		// offset is agent-clock minus controller-clock; subtracting moves
-		// the agent timestamp onto the controller's timeline.
-		start, dur := telemetry.ClampSpanWindow(sp.StartNS-offset, sp.DurNS, sendNS, recvNS)
-		parent := gatherID
-		if sp.Parent != 0 && sp.Parent < uint64(len(ids)) && ids[sp.Parent] != 0 {
-			parent = ids[sp.Parent]
-		}
-		id := qt.AddSpan("agent", sp.Name, start, dur, parent, sp.Status)
-		if sp.ID < uint64(len(ids)) {
-			ids[sp.ID] = id
-		}
-	}
-}
 
 // Query implements AgentClient.
 func (c *TCPClient) Query(q wire.Query) ([]core.Record, error) {
@@ -501,7 +387,7 @@ func (c *TCPClient) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.link != nil {
-		err := c.link.conn.Close()
+		err := c.link.Conn.Close()
 		c.link = nil
 		return err
 	}

@@ -132,7 +132,7 @@ func TestInteropV2DeltaSweeps(t *testing.T) {
 
 // Killing the connection mid-delta-chain and redialing must yield
 // byte-exact records: the redial renegotiates a fresh codec pair on both
-// ends (conn and codec are bound structurally in agentLink), so the
+// ends (conn and codec are bound in one session.Session), so the
 // first response after reconnect re-sends full records rather than
 // applying deltas against the dead connection's baseline.
 func TestInteropRedialMidDeltaChainExactValues(t *testing.T) {
@@ -153,7 +153,7 @@ func TestInteropRedialMidDeltaChainExactValues(t *testing.T) {
 		c.mu.Unlock()
 		t.Fatal("no cached link after two sweeps")
 	}
-	c.link.conn.Close()
+	c.link.Conn.Close()
 	c.mu.Unlock()
 
 	for i := 2; i <= 4; i++ {

@@ -180,24 +180,76 @@ func TestInteropSpansJSONController(t *testing.T) {
 	}
 }
 
-// The failure path records a structured status: a query against a dead
-// agent fails in the connect stage and the summary says so.
+// v2Peer is a one-connection agent stand-in that grants codec v2 on the
+// hello, reads one request, and then runs after on the connection.
+func v2Peer(t *testing.T, after func(net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		hello, err := wire.Read(conn)
+		if err != nil {
+			return
+		}
+		wire.Write(conn, &wire.Message{Type: wire.TypeHelloAck, ID: hello.ID,
+			Hello: &wire.Hello{Codecs: []string{wire.CodecV2}}})
+		if _, err := wire.ReadFrame(conn); err != nil {
+			return
+		}
+		after(conn)
+	}()
+	return ln.Addr().String()
+}
+
+// The failure path records a structured status naming the stage that
+// failed: connect (nothing listens), encode (the session codec refuses the
+// message), transport (the peer closes after the request) or decode (the
+// peer answers garbage under the negotiated codec).
 func TestTraceStructuredFailure(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(reg, "controller", 8)
-	c := NewTCPClient("127.0.0.1:1") // nothing listens here
-	c.Timeout = 200 * time.Millisecond
-	c.EnableTelemetry(reg, tracer)
-	t.Cleanup(func() { c.Close() })
-	if _, err := c.Query(wire.Query{All: true}); err == nil {
-		t.Fatal("query against a dead agent succeeded")
+	ping := &wire.Message{Type: wire.TypePing}
+	cases := []struct {
+		stage telemetry.Stage
+		addr  func(t *testing.T) string
+		req   *wire.Message
+	}{
+		{telemetry.StageConnect, func(*testing.T) string { return "127.0.0.1:1" }, ping},
+		{telemetry.StageEncode, func(t *testing.T) string { return v2Peer(t, func(net.Conn) {}) },
+			&wire.Message{Type: "no-such-type"}},
+		{telemetry.StageTransport, func(t *testing.T) string { return v2Peer(t, func(net.Conn) {}) }, ping},
+		{telemetry.StageDecode, func(t *testing.T) string {
+			return v2Peer(t, func(conn net.Conn) {
+				wire.WriteFrame(conn, []byte("not a v2 frame"))
+				wire.ReadFrame(conn) // hold the connection until the client drops it
+			})
+		}, ping},
 	}
-	recent := tracer.Recent()
-	if len(recent) == 0 {
-		t.Fatal("failed query left no trace summary")
-	}
-	sum := recent[len(recent)-1]
-	if !sum.Failed() || sum.FailStage != telemetry.StageConnect {
-		t.Fatalf("structured status = (err=%q, stage=%q), want connect failure", sum.Err, sum.FailStage)
+	for _, tc := range cases {
+		t.Run(string(tc.stage), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			tracer := telemetry.NewTracer(reg, "controller", 8)
+			c := NewTCPClient(tc.addr(t))
+			c.Timeout = 2 * time.Second
+			c.EnableTelemetry(reg, tracer)
+			t.Cleanup(func() { c.Close() })
+			if _, err := c.roundTrip(tc.req); err == nil {
+				t.Fatal("round trip succeeded")
+			}
+			recent := tracer.Recent()
+			if len(recent) == 0 {
+				t.Fatal("failed query left no trace summary")
+			}
+			sum := recent[len(recent)-1]
+			if !sum.Failed() || sum.FailStage != tc.stage {
+				t.Fatalf("structured status = (err=%q, stage=%q), want %s failure", sum.Err, sum.FailStage, tc.stage)
+			}
+		})
 	}
 }

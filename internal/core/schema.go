@@ -297,20 +297,6 @@ func AttrSemanticsOf(id AttrID) AttrSemantics {
 	return SemGauge
 }
 
-// AttrUnit returns the attribute's unit string ("" when undeclared).
-func AttrUnit(id AttrID) string {
-	if id >= 1 && id <= SchemaMax {
-		return schemaDefs[id].Unit
-	}
-	if id >= AttrExtBase {
-		ext := extCur.Load()
-		if i := int(id - AttrExtBase); i < len(ext.defs) {
-			return ext.defs[i].Unit
-		}
-	}
-	return ""
-}
-
 // IsSchemaAttr reports whether id is a compile-time schema attribute —
 // the set wire v2 may encode as a bare 1-byte ID.
 func IsSchemaAttr(id AttrID) bool { return id >= 1 && id <= SchemaMax }

@@ -51,14 +51,6 @@ func (b *CycleBudget) SpendPackets(n int, costPerPacket float64) {
 	b.spent += float64(n) * costPerPacket
 }
 
-// SpendBytes charges n bytes at costPerByte cycles each.
-func (b *CycleBudget) SpendBytes(n int64, costPerByte float64) {
-	if b == nil || n <= 0 {
-		return
-	}
-	b.spent += float64(n) * costPerByte
-}
-
 // SpendCycles charges raw cycles.
 func (b *CycleBudget) SpendCycles(c float64) {
 	if b == nil || c <= 0 {

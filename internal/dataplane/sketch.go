@@ -22,8 +22,8 @@ import (
 // Concurrency: flows hash onto a fixed set of stripes, each owning its
 // own sketch planes and top-k table behind a private mutex, so datapath
 // goroutines contend only when their flows collide on a stripe. The
-// update path performs zero heap allocations in steady state (gated by
-// testdata/sketch_alloc_budget.txt).
+// update path performs zero heap allocations in steady state (pinned by
+// TestSketchUpdateAllocBudget).
 //
 // Exactness: a top-k entry tracks the flow's packets/bytes exactly from
 // the moment it is admitted, plus the count-min estimate it was admitted

@@ -366,9 +366,3 @@ func (s *Stack) InjectToVM(vm core.VMID, b Batch) {
 		t.Write(b)
 	}
 }
-
-// VSwitchCapacityCheck returns the pNIC line rates (used by diagnosis
-// preconditions like the Fig 10 NIC-saturation check).
-func (s *Stack) VSwitchCapacityCheck() (rxBps, txBps float64) {
-	return s.PNic.RxCapBps, s.PNic.TxCapBps
-}

@@ -160,7 +160,7 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 
 	// Fault injectors driven by virtual time.
 	var rxFloodOn bool
-	l.C.Engine.AddFunc(func(now, dt time.Duration) {
+	l.C.AddPostTickFunc(func(now, dt time.Duration) {
 		if !rxFloodOn {
 			return
 		}

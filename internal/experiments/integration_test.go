@@ -81,7 +81,7 @@ func TestDiagnoseVMBottleneck(t *testing.T) {
 	gw := l.C.AddHost("gw", 0)
 	l.C.RouteFlow("f0", cluster.HostEndpoint("gw"), cluster.VMEndpoint("m0", "vm0"))
 	l.C.RouteFlow("f1", cluster.HostEndpoint("gw"), cluster.VMEndpoint("m0", "vm1"))
-	l.C.Engine.AddFunc(func(now, dt time.Duration) {
+	l.C.AddPostTickFunc(func(now, dt time.Duration) {
 		for _, f := range []dataplane.FlowID{"f0", "f1"} {
 			bytes := int64(400e6 / 8 * dt.Seconds())
 			gw.EmitRaw(dataplane.Batch{Flow: f, Packets: int(bytes / 1448), Bytes: bytes})

@@ -126,7 +126,7 @@ func probeIncomingBandwidth() (*diagnosis.ContentionReport, error) {
 			cluster.HostEndpoint("gw"), cluster.VMEndpoint("m0", core.VMID(fmt.Sprintf("vm%d", i))))
 	}
 	l.Run(2 * time.Second)
-	l.C.Engine.AddFunc(func(now, dt time.Duration) {
+	l.C.AddPostTickFunc(func(now, dt time.Duration) {
 		per := 14e9 / 4 / 8 * dt.Seconds() // 14 Gbps into a 10 Gbps NIC
 		for i := 0; i < 4; i++ {
 			gw.EmitRaw(batch(fmt.Sprintf("flood-%d", i), int64(per), 1448))
@@ -227,7 +227,7 @@ func probeVMBottleneck() (*diagnosis.ContentionReport, error) {
 	gw := l.C.AddHost("gw", 0)
 	l.C.RouteFlow("f0", cluster.HostEndpoint("gw"), cluster.VMEndpoint("m0", "vm0"))
 	l.C.RouteFlow("f1", cluster.HostEndpoint("gw"), cluster.VMEndpoint("m0", "vm1"))
-	l.C.Engine.AddFunc(func(now, dt time.Duration) {
+	l.C.AddPostTickFunc(func(now, dt time.Duration) {
 		for _, f := range []string{"f0", "f1"} {
 			gw.EmitRaw(batch(f, int64(400e6/8*dt.Seconds()), 1448))
 		}

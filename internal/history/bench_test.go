@@ -1,9 +1,7 @@
 package history
 
 import (
-	"os"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -29,18 +27,10 @@ func benchRecord(eid core.ElementID, ts int64) core.Record {
 }
 
 // TestAppendAllocBudget pins the steady-state allocation cost of storing
-// one swept record against a checked-in budget: the rings are
-// preallocated, so a warmed series must not allocate per append. CI fails
-// when a change regresses past it (see make bench-history).
+// one swept record at its measured value: the rings are preallocated, so
+// a warmed series must not allocate per append.
 func TestAppendAllocBudget(t *testing.T) {
-	raw, err := os.ReadFile("testdata/append_alloc_budget.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
-	if err != nil {
-		t.Fatalf("parse budget: %v", err)
-	}
+	const budget = 0
 	s := New(Config{MaxPointsPerSeries: 64, DownsampleStep: 10 * time.Millisecond, Retention: time.Second})
 	rec := benchRecord("m0/vswitch", 0)
 	ts := int64(0)
@@ -59,9 +49,9 @@ func TestAppendAllocBudget(t *testing.T) {
 		}
 		s.Append(testTenant, rec)
 	})
-	t.Logf("steady-state Append allocs/op = %.2f (budget %s)", got, strings.TrimSpace(string(raw)))
+	t.Logf("steady-state Append allocs/op = %.2f (budget %d)", got, budget)
 	if got > budget {
-		t.Fatalf("Append allocs/op = %.2f exceeds budget %.2f (testdata/append_alloc_budget.txt)", got, budget)
+		t.Fatalf("Append allocs/op = %.2f exceeds budget %d", got, budget)
 	}
 }
 

@@ -2,9 +2,7 @@ package ingest
 
 import (
 	"context"
-	"os"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,17 +96,9 @@ func TestIngestSustains10k(t *testing.T) {
 
 // TestIngestAllocBudget pins the steady-state allocation cost of moving
 // one 16-element batch through the ingest path (queue push + take +
-// warmed store appends) against a checked-in budget. CI fails when a
-// change regresses past it (see make bench-ingest).
+// warmed store appends) at its measured value.
 func TestIngestAllocBudget(t *testing.T) {
-	raw, err := os.ReadFile("testdata/ingest_alloc_budget.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
-	if err != nil {
-		t.Fatalf("parse budget: %v", err)
-	}
+	const budget = 0
 	store := history.New(history.Config{MaxPointsPerSeries: 64})
 	q := NewQueue(8)
 	ctx := context.Background()
@@ -131,9 +121,9 @@ func TestIngestAllocBudget(t *testing.T) {
 		step()
 	}
 	got := testing.AllocsPerRun(500, step)
-	t.Logf("steady-state ingest allocs/batch = %.2f (budget %s)", got, strings.TrimSpace(string(raw)))
+	t.Logf("steady-state ingest allocs/batch = %.2f (budget %d)", got, budget)
 	if got > budget {
-		t.Fatalf("ingest allocs/batch = %.2f exceeds budget %.2f (testdata/ingest_alloc_budget.txt)", got, budget)
+		t.Fatalf("ingest allocs/batch = %.2f exceeds budget %d", got, budget)
 	}
 }
 

@@ -193,6 +193,51 @@ func TestPushFallbackOldAgent(t *testing.T) {
 	}
 }
 
+// A hello ack that answers some other hello (wrong ID) is a broken peer,
+// not a stream grant: the stream must redial rather than send
+// stream_start on a connection whose negotiation it cannot trust.
+func TestPushRejectsHelloAckForAnotherID(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var dials, started atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			if hello, err := wire.Read(conn); err == nil {
+				wire.Write(conn, &wire.Message{Type: wire.TypeHelloAck, ID: hello.ID + 1,
+					Hello: &wire.Hello{Stream: true}})
+				if _, err := wire.Read(conn); err == nil {
+					started.Add(1)
+				}
+			}
+			conn.Close()
+		}
+	}()
+
+	m := NewManager(Config{Sink: (&collector{}).sink, DialTimeout: 2 * time.Second,
+		Redial: 5 * time.Millisecond})
+	m.Add("m0", ln.Addr().String())
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); m.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+
+	waitFor(t, 5*time.Second, "a redial after the bad ack", func() bool { return dials.Load() >= 3 })
+	if n := started.Load(); n != 0 {
+		t.Fatalf("stream_start sent %d times on a mismatched hello ack", n)
+	}
+	if h := m.Health()[0]; h.State == StateStreaming || h.State == StateFallback {
+		t.Fatalf("state %q after a mismatched hello ack; want connecting/down", h.State)
+	}
+}
+
 // Killing the streaming connection mid-delta-chain must not corrupt
 // values: the redialed connection starts a fresh codec pair, so the
 // first frame re-sends full records and every batch stays exact.
@@ -213,7 +258,7 @@ func TestPushReconnectMidDeltaChain(t *testing.T) {
 	if sc == nil {
 		t.Fatal("no live stream connection")
 	}
-	sc.conn.Close()
+	sc.sess.Conn.Close()
 
 	before := col.count()
 	waitFor(t, 5*time.Second, "stream re-established", func() bool {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"perfsight/internal/core"
+	"perfsight/internal/session"
 	"perfsight/internal/telemetry"
 	"perfsight/internal/wire"
 )
@@ -20,27 +21,14 @@ const (
 	StateDown       = "down"       // connection failed; backing off before redial
 )
 
-// streamConn is one live streaming connection: the socket, its
-// session codec, and the per-connection throttle latch. Conn and codec
-// live and die as a pair — the codec's intern tables and delta chain are
-// connection-scoped, so a redial always builds a fresh streamConn and
-// can never apply a delta frame against the previous connection's
-// baseline.
+// streamConn is one live streaming session and its throttle latch. A
+// redial always builds a fresh streamConn, so a delta frame can never be
+// applied against the previous connection's baseline.
 type streamConn struct {
-	conn net.Conn
-	sess wire.Codec
+	sess *session.Session
 
-	// spans is the negotiated span capability; skew is the connection's
-	// clock-offset estimate, seeded from the hello round trip (a redial
-	// always starts a fresh estimator — the agent may have restarted or
-	// stepped its clock).
-	spans bool
-	skew  *telemetry.SkewEstimator
-
-	// writeMu serializes control-frame writes (throttle from the reader,
-	// release from the drain) and their codec Encode calls. The reader's
-	// concurrent Decode is safe: the codec's encode and decode halves
-	// keep disjoint state.
+	// writeMu serializes control-frame Sends (throttle from the reader,
+	// release from the drain); the reader's Recv runs beside them.
 	writeMu   sync.Mutex
 	throttled bool
 	nextID    uint64
@@ -124,7 +112,7 @@ func (s *Stream) closeConn() {
 	c := s.cur
 	s.mu.Unlock()
 	if c != nil {
-		c.conn.Close()
+		c.sess.Conn.Close()
 	}
 }
 
@@ -171,78 +159,33 @@ func (s *Stream) connectAndStream(ctx context.Context) (fallback bool, err error
 	}
 	defer conn.Close()
 
-	// Negotiate codec + stream capability. The hello is always JSON; an
-	// old agent answers with an error frame and no grants.
-	conn.SetDeadline(time.Now().Add(s.cfg.DialTimeout))
-	var frameBuf []byte
-	hello := &wire.Message{Type: wire.TypeHello, ID: 1, Hello: &wire.Hello{Stream: true, Sketch: s.cfg.Sketch}}
-	if s.cfg.Codec != wire.CodecJSON {
-		hello.Hello.Codecs = []string{wire.CodecV2}
-		hello.Hello.Delta = s.cfg.Delta
-		hello.Hello.Spans = s.cfg.Spans
+	if err := conn.SetDeadline(time.Now().Add(s.cfg.DialTimeout)); err != nil {
+		return false, err
 	}
-	payload, err := wire.Encode(hello)
+	sess, err := session.Open(conn, 1, session.Offer{Codec: s.cfg.Codec, Delta: s.cfg.Delta,
+		Sketch: s.cfg.Sketch, Spans: s.cfg.Spans, Stream: true}, nil, nil)
 	if err != nil {
 		return false, err
 	}
-	sendNS := time.Now().UnixNano()
-	if err := wire.WriteFrame(conn, payload); err != nil {
-		return false, err
-	}
-	raw, err := wire.ReadFrameBuf(conn, &frameBuf)
-	recvNS := time.Now().UnixNano()
-	if err != nil {
-		return false, err
-	}
-	ack, err := wire.Decode(raw)
-	if err != nil {
-		return false, err
-	}
-	if ack.Type != wire.TypeHelloAck || ack.Hello == nil || !ack.Hello.Stream {
+	if !sess.Stream {
 		return true, nil // old agent, or push disabled on its side
 	}
-	sc := &streamConn{conn: conn, sess: wire.JSONCodec{}, nextID: 1, skew: &telemetry.SkewEstimator{}}
-	if ack.AgentTS != 0 {
-		// The hello round trip is the stream's only request/response
-		// exchange, so it seeds the clock-offset estimate that places
-		// every later push frame's spans on the controller timeline.
-		sc.skew.Observe(sendNS, recvNS, ack.AgentTS, 0)
-	}
-	s.mu.Lock()
-	s.codec = wire.CodecJSON
-	s.mu.Unlock()
-	for _, c := range ack.Hello.Codecs {
-		if c == wire.CodecV2 {
-			v2 := wire.NewV2Codec(s.cfg.Delta && ack.Hello.Delta)
-			if s.cfg.Spans && ack.Hello.Spans {
-				v2.EnableSpans()
-				sc.spans = true
-			}
-			sc.sess = v2
-			s.mu.Lock()
-			s.codec = wire.CodecV2
-			s.mu.Unlock()
-		}
-	}
+	sc := &streamConn{sess: sess, nextID: 1}
 
 	// Convert the connection: after stream_start the agent owns the send
 	// direction and we own reading.
 	q := s.cfg.Query
-	start := &wire.Message{Type: wire.TypeStreamStart, ID: 2, Query: &q,
+	if _, err := sess.Send(&wire.Message{Type: wire.TypeStreamStart, ID: 2, Query: &q,
 		Stream: &wire.StreamInfo{
 			CadenceMinNS: s.cfg.CadenceMin.Nanoseconds(),
 			CadenceMaxNS: s.cfg.CadenceMax.Nanoseconds(),
-		}}
-	out, err := sc.sess.Encode(start)
-	if err != nil {
-		return false, err
-	}
-	if err := wire.WriteFrame(conn, out); err != nil {
+		}}); err != nil {
 		return false, err
 	}
 
 	s.mu.Lock()
 	s.cur = sc
+	s.codec = sess.Codec()
 	s.state = StateStreaming
 	s.lastSeq = 0
 	s.mu.Unlock()
@@ -273,19 +216,12 @@ func (s *Stream) liveness(sc *streamConn) time.Duration {
 // sequence continuity, enqueue, and send a throttle when the queue
 // crosses its high watermark.
 func (s *Stream) receive(ctx context.Context, sc *streamConn) error {
-	var frameBuf []byte
 	for ctx.Err() == nil {
-		sc.conn.SetReadDeadline(time.Now().Add(s.liveness(sc)))
-		raw, err := wire.ReadFrameBuf(sc.conn, &frameBuf)
+		sc.sess.Conn.SetReadDeadline(time.Now().Add(s.liveness(sc)))
+		msg, got, err := sc.sess.Recv()
 		if err != nil {
 			return err
 		}
-		decStart := time.Now()
-		msg, err := sc.sess.Decode(raw)
-		if err != nil {
-			return err
-		}
-		decodeD := time.Since(decStart)
 		switch msg.Type {
 		case wire.TypeStreamData:
 			var seq uint64
@@ -294,7 +230,7 @@ func (s *Stream) receive(ctx context.Context, sc *streamConn) error {
 			}
 			var traceID uint64
 			if s.cfg.Tracer != nil && len(msg.AgentSpans) > 0 {
-				traceID = s.ingestSpans(sc, msg, decStart.UnixNano(), decodeD)
+				traceID = s.ingestSpans(sc.sess, msg, got)
 			}
 			s.mu.Lock()
 			s.frames++
@@ -341,33 +277,16 @@ const pushClampSlackNS = int64(time.Second)
 // ingestSpans turns one spans-bearing stream_data frame into a completed
 // trace: an agent_gather stage sized by the agent's reported elapsed
 // time, the frame's decode cost, and the agent's frame-local spans
-// remapped into the trace — IDs reassigned, parents translated (the
-// agent's root re-anchors under the gather stage), timestamps shifted by
-// the connection's clock-offset estimate and clamped so a nonsense agent
-// clock cannot place a span after the frame that carried it. recvNS is
-// the frame's arrival time on the controller clock. Returns the trace ID
-// for the batch to carry to the sink.
-func (s *Stream) ingestSpans(sc *streamConn, msg *wire.Message, recvNS int64, decodeD time.Duration) uint64 {
+// re-anchored under the gather stage, clamped so a nonsense agent clock
+// cannot place a span after the frame that carried it (got.At is the
+// frame's arrival on the controller clock). Returns the trace ID for the
+// batch to carry to the sink.
+func (s *Stream) ingestSpans(sess *session.Session, msg *wire.Message, got session.Timing) uint64 {
 	qt := s.cfg.Tracer.Begin(string(s.machine))
 	gatherID := qt.RecordSpan(telemetry.StageGather, time.Duration(msg.AgentNS))
-	qt.Record(telemetry.StageDecode, decodeD)
-	lo := recvNS - msg.AgentNS - pushClampSlackNS
-	offset, _ := sc.skew.Offset()
-	var ids [telemetry.MaxSpansPerTrace + 1]uint64
-	for i := range msg.AgentSpans {
-		sp := &msg.AgentSpans[i]
-		// offset is agent-clock minus controller-clock; subtracting moves
-		// the agent timestamp onto the controller's timeline.
-		start, dur := telemetry.ClampSpanWindow(sp.StartNS-offset, sp.DurNS, lo, recvNS)
-		parent := gatherID
-		if sp.Parent != 0 && sp.Parent < uint64(len(ids)) && ids[sp.Parent] != 0 {
-			parent = ids[sp.Parent]
-		}
-		id := qt.AddSpan("agent", sp.Name, start, dur, parent, sp.Status)
-		if sp.ID < uint64(len(ids)) {
-			ids[sp.ID] = id
-		}
-	}
+	qt.Record(telemetry.StageDecode, got.Codec)
+	hi := got.At.UnixNano()
+	sess.RemapSpans(qt, gatherID, msg.AgentSpans, hi-msg.AgentNS-pushClampSlackNS, hi)
 	id := qt.ID()
 	qt.End()
 	return id
@@ -384,14 +303,10 @@ func (s *Stream) throttle(sc *streamConn, d time.Duration) {
 		return
 	}
 	sc.nextID++
-	out, err := sc.sess.Encode(&wire.Message{Type: wire.TypeStreamControl, ID: sc.nextID,
-		Stream: &wire.StreamInfo{ThrottleNS: d.Nanoseconds()}})
-	if err == nil {
-		sc.conn.SetWriteDeadline(time.Now().Add(s.cfg.DialTimeout))
-		err = wire.WriteFrame(sc.conn, out)
-	}
-	if err != nil {
-		sc.conn.Close() // reader sees the broken conn and redials
+	sc.sess.Conn.SetWriteDeadline(time.Now().Add(s.cfg.DialTimeout))
+	if _, err := sc.sess.Send(&wire.Message{Type: wire.TypeStreamControl, ID: sc.nextID,
+		Stream: &wire.StreamInfo{ThrottleNS: d.Nanoseconds()}}); err != nil {
+		sc.sess.Conn.Close() // reader sees the broken conn and redials
 		return
 	}
 	sc.throttled = want

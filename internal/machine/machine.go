@@ -16,7 +16,6 @@ package machine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -701,11 +700,4 @@ func minf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// SortedVMIDs returns VM IDs sorted lexicographically (stable reporting).
-func (m *Machine) SortedVMIDs() []core.VMID {
-	out := append([]core.VMID(nil), m.vmOrder...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -17,8 +17,8 @@ const skewAlpha = 0.25
 //	offset = t3 − (t1+t4)/2 − handling/2
 //
 // is the agent-minus-controller clock difference. Samples are
-// EWMA-smoothed; the estimator is connection-scoped (it lives on the
-// controller's agentLink / the ingest streamConn), so a redial naturally
+// EWMA-smoothed; the estimator is connection-scoped (it lives inside the
+// connection's session.Session), so a redial naturally
 // starts a fresh estimate — exactly right, since a reconnect may reach a
 // different process with a different clock.
 type SkewEstimator struct {

@@ -1,9 +1,6 @@
 package telemetry
 
 import (
-	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,19 +8,11 @@ import (
 
 // TestSpanAllocBudget pins the steady-state cost of recording one full
 // trace — four controller stage spans plus three skew-corrected agent
-// spans, summary ring push and span-store handoff — against a
-// checked-in budget (0: the trace is pooled, spans live in a fixed
-// array, and store ring slots recycle their span slices). CI fails when
-// a change regresses past it (see make bench-trace).
+// spans, summary ring push and span-store handoff — at its measured
+// value (0: the trace is pooled, spans live in a fixed array, and store
+// ring slots recycle their span slices).
 func TestSpanAllocBudget(t *testing.T) {
-	raw, err := os.ReadFile("testdata/span_alloc_budget.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
-	if err != nil {
-		t.Fatalf("parse budget: %v", err)
-	}
+	const budget = 0
 	reg := NewRegistry()
 	tr := NewTracer(reg, "controller", 64)
 	st := NewSpanStore(reg, 64, 32, 8)
@@ -36,9 +25,9 @@ func TestSpanAllocBudget(t *testing.T) {
 	got := testing.AllocsPerRun(500, func() {
 		completeTrace(tr, false)
 	})
-	t.Logf("steady-state trace record allocs/op = %.2f (budget %s)", got, strings.TrimSpace(string(raw)))
+	t.Logf("steady-state trace record allocs/op = %.2f (budget %d)", got, budget)
 	if got > budget {
-		t.Fatalf("trace record allocs/op = %.2f exceeds budget %.2f (testdata/span_alloc_budget.txt)", got, budget)
+		t.Fatalf("trace record allocs/op = %.2f exceeds budget %d", got, budget)
 	}
 }
 
