@@ -1,6 +1,7 @@
 # Pre-PR check: everything here must pass before sending a change.
 #   make check        vet + build + race tests; every alloc budget and floor
-#                     is a Test* that runs here (and under `go test ./...`)
+#                     is a Test* that runs here (and under `go test ./...`);
+#                     then 5 s of fuzzing per text-parser target
 #   make bench-smoke  vet + test the nested bench/ module, which the root
 #                     `go test ./...` does not reach
 #   make bench        every micro-benchmark's output; gates nothing
@@ -13,6 +14,9 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -fuzz FuzzParseNetDev -fuzztime 5s ./internal/procfs
+	$(GO) test -run '^$$' -fuzz FuzzParseSoftnet -fuzztime 5s ./internal/procfs
+	$(GO) test -run '^$$' -fuzz FuzzStatLine -fuzztime 5s ./internal/agent
 
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -158,10 +157,9 @@ func main() {
 		log.Fatalf("listen: %v", err)
 	}
 	log.Printf("perfsight-agent %s serving %d elements on %s", mid, len(a.Elements()), ln.Addr())
-	if err := a.Serve(ln); err != nil {
-		log.Fatalf("serve: %v", err)
-	}
-	os.Exit(0)
+	err = a.Serve(ln) // returns only once the listener fails
+	a.Close()
+	log.Fatalf("serve: %v", err)
 }
 
 func flowID(s string) dataplane.FlowID { return dataplane.FlowID(s) }

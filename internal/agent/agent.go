@@ -27,6 +27,13 @@ type Agent struct {
 	mu       sync.RWMutex
 	adapters map[core.ElementID]Adapter
 
+	// sources holds the idle per-fetch *Sources, so a steady-state fetch
+	// reuses an earlier one's parse scratch; as many exist as fetches have
+	// ever run at once. (Not a sync.Pool: a collection would empty it, and
+	// rebuilding the scratch costs what sharing it saves.)
+	sourcesMu sync.Mutex
+	sources   []*Sources
+
 	// queryCount/busyNS are atomics, not mu-guarded: concurrent Fetches
 	// only hold RLock and must not serialize on overhead accounting.
 	queryCount atomic.Uint64
@@ -102,29 +109,57 @@ func New(machine core.MachineID, clock func() int64) *Agent {
 // Machine returns the agent's server identity.
 func (a *Agent) Machine() core.MachineID { return a.machine }
 
-// Register attaches an element adapter.
+// Register attaches an element adapter, closing the one it replaces.
 func (a *Agent) Register(ad Adapter) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
+	old := a.adapters[ad.ElementID()]
 	a.adapters[ad.ElementID()] = ad
+	a.mu.Unlock()
+	closeAdapter(old) // re-registering the same adapter only makes it reopen
 }
 
-// Unregister removes an element (VM migrated away).
+// Unregister removes an element (VM migrated away) and closes its adapter.
 func (a *Agent) Unregister(id core.ElementID) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
+	old := a.adapters[id]
 	delete(a.adapters, id)
+	a.mu.Unlock()
+	closeAdapter(old)
+}
+
+// Close releases the log files and channel connections the adapters keep
+// between fetches. The agent stays usable — a later fetch reopens what it
+// needs — so Close is for the end of the agent's life.
+func (a *Agent) Close() error {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	for _, ad := range a.adapters {
+		closeAdapter(ad)
+	}
+	return nil
+}
+
+// closeAdapter closes what ad keeps open, if anything; the kept files and
+// connections are only read, so a failed close loses nothing.
+func closeAdapter(ad Adapter) {
+	if c, ok := ad.(io.Closer); ok {
+		c.Close()
+	}
 }
 
 // Elements returns the sorted inventory.
 func (a *Agent) Elements() []core.ElementID {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
+	return a.elementsLocked()
+}
+
+func (a *Agent) elementsLocked() []core.ElementID {
 	out := make([]core.ElementID, 0, len(a.adapters))
 	for id := range a.adapters {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -133,7 +168,7 @@ func (a *Agent) Elements() []core.ElementID {
 // sketch-unaware controller is handed when it never negotiated the
 // sketch capability.
 type LegacyFlowFetcher interface {
-	FetchLegacy(ts int64) (core.Record, error)
+	FetchLegacy(src *Sources) (core.Record, error)
 }
 
 // Fetch gathers records for the requested elements (all when ids empty and
@@ -149,12 +184,20 @@ func (a *Agent) Fetch(ids []core.ElementID, attrs []string, all bool) ([]core.Re
 // array instead of growing a fresh one per frame. legacyFlows demotes
 // LegacyFlowFetcher adapters to per-rule enumeration for connections
 // whose peer never negotiated the sketch capability. A non-nil sb
-// collects one child span per adapter fetch, named by collection
-// channel, for connections whose peer negotiated spans.
+// collects one child span per collection channel used, for connections
+// whose peer negotiated spans.
+//
+// The adapters are resolved under one read lock and then share one
+// Sources, so a file or table several elements live in is read and parsed
+// once for all of them; records come back in request order.
 func (a *Agent) fetchAppend(recs []core.Record, ids []core.ElementID, attrs []string, all, legacyFlows bool, sb *spanBuf) ([]core.Record, error) {
 	start := time.Now()
 	tel := a.tel.Load()
+	src := a.takeSources()
 	defer func() {
+		a.sourcesMu.Lock()
+		a.sources = append(a.sources, src)
+		a.sourcesMu.Unlock()
 		elapsed := time.Since(start)
 		a.queryCount.Add(1)
 		a.busyNS.Add(elapsed.Nanoseconds())
@@ -164,20 +207,21 @@ func (a *Agent) fetchAppend(recs []core.Record, ids []core.ElementID, attrs []st
 		}
 	}()
 
+	a.mu.RLock()
 	if all {
-		ids = a.Elements()
+		ids = a.elementsLocked()
 	}
-	ts := a.clock()
+	for _, id := range ids {
+		src.ads = append(src.ads, a.adapters[id])
+	}
+	a.mu.RUnlock()
 	// Build the attribute filter once per query, not once per element.
 	filter := wire.NewAttrFilter(attrs)
 	var firstErr error
-	for _, id := range ids {
-		a.mu.RLock()
-		ad := a.adapters[id]
-		a.mu.RUnlock()
+	for i, ad := range src.ads {
 		if ad == nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("agent %s: unknown element %s", a.machine, id)
+				firstErr = fmt.Errorf("agent %s: unknown element %s", a.machine, ids[i])
 			}
 			continue
 		}
@@ -191,20 +235,16 @@ func (a *Agent) fetchAppend(recs []core.Record, ids []core.ElementID, attrs []st
 		var err error
 		if tel != nil || sb != nil {
 			g := time.Now()
-			rec, err = fetch(ts)
+			rec, err = fetch(src)
 			d := time.Since(g)
 			if tel != nil {
 				tel.observeGather(ad.Kind(), d)
 			}
 			if sb != nil {
-				status := ""
-				if err != nil {
-					status = "error"
-				}
-				sb.child(channelName(ad, legacyFlows), g.UnixNano(), d.Nanoseconds(), status)
+				sb.observe(channelName(ad, legacyFlows), g.UnixNano(), d.Nanoseconds(), err != nil)
 			}
 		} else {
-			rec, err = fetch(ts)
+			rec, err = fetch(src)
 		}
 		if err != nil {
 			if firstErr == nil {
@@ -218,6 +258,22 @@ func (a *Agent) fetchAppend(recs []core.Record, ids []core.ElementID, attrs []st
 		tel.queryErrors.Inc()
 	}
 	return recs, firstErr
+}
+
+// takeSources returns an idle Sources, or a new one, reset for a fetch at
+// the agent's clock.
+func (a *Agent) takeSources() *Sources {
+	var src *Sources
+	a.sourcesMu.Lock()
+	if n := len(a.sources); n > 0 {
+		src, a.sources = a.sources[n-1], a.sources[:n-1]
+	}
+	a.sourcesMu.Unlock()
+	if src == nil {
+		src = new(Sources)
+	}
+	src.reset(a.clock())
+	return src
 }
 
 // Stats reports the agent's own collection overhead (Fig 16).

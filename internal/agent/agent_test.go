@@ -40,6 +40,7 @@ func buildTestAgent(t *testing.T, m *machine.Machine, opts BuildOptions) *Agent 
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { a.Close() })
 	return a
 }
 

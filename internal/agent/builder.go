@@ -154,8 +154,7 @@ func Build(m *machine.Machine, opts BuildOptions) (*Agent, error) {
 
 		// QEMU through its counter log.
 		a.Register(&QEMULogAdapter{
-			E:       vs.Qemu,
-			Path:    filepath.Join(logDir, fmt.Sprintf("qemu-%s.log", id)),
+			Log:     &QEMULog{E: vs.Qemu, Path: filepath.Join(logDir, fmt.Sprintf("qemu-%s.log", id))},
 			Latency: lat.QEMULog,
 			Extra:   opts.QEMULogExtra,
 		})

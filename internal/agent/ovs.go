@@ -3,11 +3,11 @@ package agent
 import (
 	"bufio"
 	"bytes"
-	"encoding/base64"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 
 	"perfsight/internal/core"
@@ -47,62 +47,65 @@ func FlowStatsModeFromString(s string) (FlowStatsMode, error) {
 
 // OVSChannelServer exposes a virtual switch's statistics over a control
 // channel in an ovs-ofctl dump-flows style, the way the real agent fetches
-// per-rule counters via OpenFlow (§6). Two commands:
+// per-rule counters via OpenFlow (§6). Two commands, each answered up to
+// an `END` line:
 //
-//	DUMP         switch-level attrs + one `rule flow=... packets=... bytes=...`
-//	             line per flow-table entry (legacy enumeration)
-//	DUMP-SKETCH  switch-level attrs + one `sketch <base64 blob>` line
-//	             carrying the constant-size flow summary
+//	DUMP         `switch ` + the switch-level stat line, then one
+//	             `rule flow=... packets=... bytes=...` line per flow-table
+//	             entry (legacy enumeration)
+//	DUMP-SKETCH  the switch line, then `sketch <n>` followed by the n raw
+//	             bytes of the constant-size flow summary and a newline
+//
+// A command that cannot be served is answered `ERR <text>`, then `END`.
 type OVSChannelServer struct {
 	VS *dataplane.VSwitch
 }
 
 // Handle serves one control connection.
 func (s *OVSChannelServer) Handle(conn net.Conn) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		cmd := strings.TrimSpace(sc.Text())
-		switch cmd {
+	var blob []byte
+	serveLines(conn, func(out, cmd []byte) []byte {
+		var err error
+		switch string(cmd) {
 		case "DUMP":
-			s.writeSwitchLine(conn)
-			for _, r := range s.VS.Rules() {
-				fmt.Fprintf(conn, "rule flow=%s packets=%d bytes=%d\n",
-					r.Flow, r.Packets.Load(), r.Bytes.Load())
+			if out, err = s.appendSwitchLine(out); err != nil {
+				break
 			}
-			fmt.Fprintln(conn, "END")
+			for _, rule := range s.VS.Rules() {
+				out = append(append(out, "rule flow="...), rule.Flow...)
+				out = strconv.AppendUint(append(out, " packets="...), rule.Packets.Load(), 10)
+				out = strconv.AppendUint(append(out, " bytes="...), rule.Bytes.Load(), 10)
+				out = append(out, '\n')
+			}
 		case "DUMP-SKETCH":
 			fs := s.VS.FlowStats()
 			if fs == nil {
-				fmt.Fprintln(conn, "ERR sketch flow statistics not enabled\nEND")
-				continue
+				err = errors.New("sketch flow statistics not enabled")
+				break
 			}
-			s.writeSwitchLine(conn)
-			fmt.Fprintf(conn, "sketch %s\n", base64.StdEncoding.EncodeToString(fs.Encode()))
-			fmt.Fprintln(conn, "END")
+			if out, err = s.appendSwitchLine(out); err != nil {
+				break
+			}
+			blob = fs.AppendEncode(blob[:0])
+			out = strconv.AppendInt(append(out, "sketch "...), int64(len(blob)), 10)
+			out = append(append(append(out, '\n'), blob...), '\n')
 		default:
-			fmt.Fprintf(conn, "ERR unknown command %q\nEND\n", cmd)
+			err = fmt.Errorf("unknown command %q", cmd)
 		}
-	}
+		if err != nil {
+			out = append(append(append(out[:0], "ERR "...), err.Error()...), '\n')
+		}
+		return append(out, "END\n"...)
+	})
 }
 
-func (s *OVSChannelServer) writeSwitchLine(conn net.Conn) {
-	rec := s.VS.Snapshot(0)
-	fmt.Fprintf(conn, "switch")
-	for _, a := range rec.Attrs {
-		fmt.Fprintf(conn, " %s=%g", a.Name(), a.Value)
-	}
-	fmt.Fprintln(conn)
+func (s *OVSChannelServer) appendSwitchLine(out []byte) ([]byte, error) {
+	out, err := appendStatLine(append(out, "switch "...), s.VS.Snapshot(0))
+	return append(out, '\n'), err
 }
 
 // PipeDialer returns an in-memory dialer to the channel server.
-func (s *OVSChannelServer) PipeDialer() func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		client, server := net.Pipe()
-		go s.Handle(server)
-		return client, nil
-	}
-}
+func (s *OVSChannelServer) PipeDialer() func() (net.Conn, error) { return pipeDialer(s.Handle) }
 
 // ruleAttrIDs caches the pair of extension AttrIDs for one flow so the
 // legacy enumeration registers (and concatenates) each name once, not
@@ -111,16 +114,21 @@ type ruleAttrIDs struct {
 	pkts, byts core.AttrID
 }
 
-// OVSAdapter fetches virtual-switch statistics over the control channel.
-// Mode selects sketch summaries (one payload attr) or legacy per-rule
-// enumeration; either way, a peer that cannot consume sketches can ask
-// for the legacy form explicitly via FetchLegacy.
+// maxSketchBlob bounds the flow summary a control channel may announce.
+const maxSketchBlob = 16 << 20
+
+// OVSAdapter fetches virtual-switch statistics over the control channel,
+// which it keeps open between fetches. Mode selects sketch summaries (one
+// payload attr) or legacy per-rule enumeration; either way, a peer that
+// cannot consume sketches can ask for the legacy form explicitly via
+// FetchLegacy.
 type OVSAdapter struct {
 	ID      core.ElementID
 	Dial    func() (net.Conn, error)
 	Latency Latency
 	Mode    FlowStatsMode
 
+	ch      lineChannel
 	ruleMu  sync.RWMutex
 	ruleIDs map[string]ruleAttrIDs
 }
@@ -132,69 +140,77 @@ func (a *OVSAdapter) ElementID() core.ElementID { return a.ID }
 func (a *OVSAdapter) Kind() core.ElementKind { return core.KindVSwitch }
 
 // Fetch implements Adapter in the configured mode.
-func (a *OVSAdapter) Fetch(ts int64) (core.Record, error) {
+func (a *OVSAdapter) Fetch(src *Sources) (core.Record, error) {
 	if a.Mode == FlowStatsSketch {
-		return a.fetch(ts, "DUMP-SKETCH")
+		return a.fetch(src, "DUMP-SKETCH\n")
 	}
-	return a.fetch(ts, "DUMP")
+	return a.fetch(src, "DUMP\n")
 }
 
 // FetchLegacy implements LegacyFlowFetcher: the per-rule enumeration an
 // old (sketch-unaware) controller negotiates down to.
-func (a *OVSAdapter) FetchLegacy(ts int64) (core.Record, error) {
-	return a.fetch(ts, "DUMP")
+func (a *OVSAdapter) FetchLegacy(src *Sources) (core.Record, error) {
+	return a.fetch(src, "DUMP\n")
 }
 
-func (a *OVSAdapter) fetch(ts int64, cmd string) (core.Record, error) {
+// Close implements io.Closer.
+func (a *OVSAdapter) Close() error { return a.ch.Close() }
+
+func (a *OVSAdapter) fetch(src *Sources, cmd string) (core.Record, error) {
 	a.Latency.apply()
-	conn, err := a.Dial()
-	if err != nil {
-		return core.Record{}, fmt.Errorf("agent: ovs %s: dial: %w", a.ID, err)
-	}
-	defer conn.Close()
-	if _, err := fmt.Fprintln(conn, cmd); err != nil {
-		return core.Record{}, fmt.Errorf("agent: ovs %s: send: %w", a.ID, err)
-	}
-	rec := core.Record{Timestamp: ts, Element: a.ID}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20) // sketch blobs exceed the 64K default line cap
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		switch {
-		case string(line) == "END":
-			return rec, nil
-		case bytes.HasPrefix(line, []byte("ERR")):
-			return core.Record{}, fmt.Errorf("agent: ovs %s: %s", a.ID, line)
-		case bytes.HasPrefix(line, []byte("switch")):
-			rec.Attrs = parseSwitchLine(rec.Attrs, string(line))
-		case bytes.HasPrefix(line, []byte("rule ")):
-			if flow, pkts, byts, ok := parseRuleLine(line[len("rule "):]); ok {
-				ids := a.ruleAttrIDsFor(flow)
-				rec.Attrs = append(rec.Attrs,
-					core.Attr{ID: ids.pkts, Value: float64(pkts)},
-					core.Attr{ID: ids.byts, Value: float64(byts)},
-				)
-			}
-		case bytes.HasPrefix(line, []byte("sketch ")):
-			blob, err := base64.StdEncoding.AppendDecode(nil, line[len("sketch "):])
+	src.req = append(src.req[:0], cmd...)
+	var attrs []core.Attr
+	err := a.ch.roundTrip(a.Dial, src.req, func(r *bufio.Reader) error {
+		attrs = attrs[:0] // a retried exchange starts over
+		var reply error
+		for {
+			line, err := readLine(r)
 			if err != nil {
-				return core.Record{}, fmt.Errorf("agent: ovs %s: sketch line: %w", a.ID, err)
+				return fmt.Errorf("read before END: %w", err)
 			}
-			epoch, ok := dataplane.SketchEpoch(blob)
-			if !ok {
-				return core.Record{}, fmt.Errorf("agent: ovs %s: malformed sketch blob", a.ID)
+			line = bytes.TrimSpace(line)
+			if string(line) == "END" {
+				return reply
 			}
-			rec.Attrs = append(rec.Attrs, core.Attr{
-				ID:      core.SketchAttrID(),
-				Value:   float64(epoch),
-				Payload: blob,
-			})
+			kind, rest, _ := bytes.Cut(line, []byte(" "))
+			switch string(kind) {
+			case "ERR":
+				reply = errReply(rest)
+			case "switch":
+				sw, err := parseStatLine(attrs, rest, a.ID)
+				if err != nil {
+					return err
+				}
+				attrs = sw.Attrs
+			case "rule":
+				if flow, pkts, byts, ok := parseRuleLine(rest); ok {
+					ids := a.ruleAttrIDsFor(flow)
+					attrs = append(attrs,
+						core.Attr{ID: ids.pkts, Value: float64(pkts)},
+						core.Attr{ID: ids.byts, Value: float64(byts)},
+					)
+				}
+			case "sketch":
+				n, err := strconv.ParseUint(string(rest), 10, 64)
+				if err != nil || n > maxSketchBlob {
+					return fmt.Errorf("sketch line %q: bad length", line)
+				}
+				blob := make([]byte, n)
+				if _, err := io.ReadFull(r, blob); err != nil {
+					return fmt.Errorf("sketch blob: %w", err)
+				}
+				epoch, ok := dataplane.SketchEpoch(blob)
+				if !ok {
+					return errors.New("malformed sketch blob")
+				}
+				attrs = append(attrs, core.Attr{ID: core.SketchAttrID(), Value: float64(epoch), Payload: blob})
+			}
 		}
+	})
+	if err != nil {
+		return core.Record{}, fmt.Errorf("agent: ovs %s: %w", a.ID, err)
 	}
-	if err := sc.Err(); err != nil {
-		return core.Record{}, fmt.Errorf("agent: ovs %s: read: %w", a.ID, err)
-	}
-	return core.Record{}, fmt.Errorf("agent: ovs %s: channel closed before END", a.ID)
+	return core.Record{Timestamp: src.TS, Element: a.ID, Attrs: attrs}, nil
 }
 
 // ruleAttrIDsFor returns the cached attr-ID pair for one flow's legacy
@@ -226,21 +242,6 @@ func (a *OVSAdapter) ruleAttrIDsFor(flow []byte) ruleAttrIDs {
 	return ids
 }
 
-// parseSwitchLine appends the space-separated name=value attrs of a
-// `switch ...` line.
-func parseSwitchLine(attrs []core.Attr, line string) []core.Attr {
-	for _, kv := range strings.Fields(line)[1:] {
-		name, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			continue
-		}
-		if v, err := strconv.ParseFloat(val, 64); err == nil {
-			attrs = append(attrs, core.NamedAttr(name, v))
-		}
-	}
-	return attrs
-}
-
 // parseRuleLine parses `flow=<id> packets=<n> bytes=<n>` by hand.
 // fmt.Sscanf here cost two allocations plus reflection per flow per
 // sweep — at enumeration scale, the dominant fetch cost (see
@@ -266,31 +267,11 @@ func parseRuleLine(rest []byte) (flow []byte, pkts, byts uint64, ok bool) {
 	if !ok {
 		return nil, 0, 0, false
 	}
-	var err error
-	if pkts, err = parseUint(p); err != nil {
-		return nil, 0, 0, false
-	}
-	if byts, err = parseUint(b); err != nil {
+	// string(p) does not escape into strconv: nothing reaches the heap.
+	pkts, perr := strconv.ParseUint(string(p), 10, 64)
+	byts, berr := strconv.ParseUint(string(b), 10, 64)
+	if perr != nil || berr != nil {
 		return nil, 0, 0, false
 	}
 	return flow, pkts, byts, true
-}
-
-// parseUint is strconv.ParseUint without the []byte→string conversion.
-func parseUint(b []byte) (uint64, error) {
-	if len(b) == 0 {
-		return 0, strconv.ErrSyntax
-	}
-	var n uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, strconv.ErrSyntax
-		}
-		d := uint64(c - '0')
-		if n > (1<<64-1-d)/10 {
-			return 0, strconv.ErrRange
-		}
-		n = n*10 + d
-	}
-	return n, nil
 }

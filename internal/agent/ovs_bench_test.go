@@ -80,3 +80,53 @@ func BenchmarkOVSRuleParseSscanf(b *testing.B) {
 		}
 	}
 }
+
+// loadedAgent is the agent the collection-cost gates measure: every
+// channel Build can wire (stats sockets, sketch flow statistics), warmed
+// so connections are dialled, logs open and parse scratch grown.
+func loadedAgent(tb testing.TB, vms int) (*Agent, int) {
+	a, err := Build(vmMachine(vms), BuildOptions{QEMULogDir: tb.TempDir(), UseMboxSockets: true, FlowStats: FlowStatsSketch})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { a.Close() })
+	for i := 0; i < 3; i++ {
+		if _, err := a.Fetch(nil, nil, true); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return a, len(a.Elements())
+}
+
+// TestFetchMachineAllocBudget gates what a whole-inventory fetch of a
+// loaded machine allocates per record, so per-element reads and parses
+// (58 per record before sources were shared) do not creep back. What is
+// left is each record's attrs, the element snapshots behind the rendered
+// files and logs, and the sketch blob.
+func TestFetchMachineAllocBudget(t *testing.T) {
+	const budget = 5.25 // measured 4.97 (144 per 29-record fetch), 5.03 under -race; 4.64 at 8 VMs
+	a, records := loadedAgent(t, 2)
+	allocs := testing.AllocsPerRun(50, func() {
+		if recs, err := a.Fetch(nil, nil, true); err != nil || len(recs) != records {
+			t.Fatalf("fetch: %d records, %v", len(recs), err)
+		}
+	})
+	t.Logf("%.0f allocs per fetch of %d records = %.2f per record", allocs, records, allocs/float64(records))
+	if per := allocs / float64(records); per > budget {
+		t.Fatalf("whole-inventory fetch allocates %.2f per record; budget %.2f", per, budget)
+	}
+}
+
+// BenchmarkAgentFetchMachine is one whole-inventory fetch of the
+// benchmark's 8-VM machine through every channel.
+func BenchmarkAgentFetchMachine(b *testing.B) {
+	a, records := loadedAgent(b, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if recs, err := a.Fetch(nil, nil, true); err != nil || len(recs) != records {
+			b.Fatalf("fetch: %d records, %v", len(recs), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+}

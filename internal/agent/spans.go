@@ -7,15 +7,15 @@ import (
 // Span support: when a controller negotiates the spans capability (v2
 // sessions only), the agent decorates every query response and pushed
 // stream_data frame with a compact span list decomposing its handling
-// time per collection channel — one child span per adapter fetch, under
-// one root span covering the whole dispatch. Span IDs are frame-local
-// (root is always 1); the controller remaps them into its trace and
-// skew-corrects the timestamps, which are on the agent's clock.
+// time per collection channel — one child span per channel the gather
+// used, under one root span covering the whole dispatch. Span IDs are
+// frame-local (root is always 1); the controller remaps them into its
+// trace and skew-corrects the timestamps, which are on the agent's clock.
 
-// maxAgentSpans caps the per-frame span list. The controller-side trace
-// keeps at most telemetry.MaxSpansPerTrace spans anyway; capping here
-// too bounds the wire cost of a sweep over a machine with hundreds of
-// elements.
+// maxAgentSpans caps the per-frame span list. Build's adapters name six
+// channels between them however many elements they serve; the cap bounds
+// what adapters that name none (and fall back to their element kind) can
+// put on the wire.
 const maxAgentSpans = 32
 
 // ChannelNamer lets an adapter name its collection channel for span
@@ -76,17 +76,26 @@ func (b *spanBuf) begin() {
 	b.dropped = 0
 }
 
-// child appends one channel span under the root. Over-cap spans are
-// dropped (the controller tracks its own drop budget).
-func (b *spanBuf) child(name string, startNS, durNS int64, status string) {
-	if len(b.spans) >= maxAgentSpans {
-		b.dropped++
-		return
+// observe folds one adapter fetch into its channel's span: the span
+// starts at the channel's first fetch, lasts the sum of its fetches, and
+// reports an error if any of them failed. A channel first seen over the
+// cap is dropped (the controller tracks its own drop budget).
+func (b *spanBuf) observe(channel string, startNS, durNS int64, failed bool) {
+	i := 1
+	for i < len(b.spans) && b.spans[i].Name != channel {
+		i++
 	}
-	b.spans = append(b.spans, wire.Span{
-		ID: uint64(len(b.spans)) + 1, Parent: 1,
-		Name: name, StartNS: startNS, DurNS: durNS, Status: status,
-	})
+	if i == len(b.spans) {
+		if len(b.spans) >= maxAgentSpans {
+			b.dropped++
+			return
+		}
+		b.spans = append(b.spans, wire.Span{ID: uint64(i) + 1, Parent: 1, Name: channel, StartNS: startNS})
+	}
+	b.spans[i].DurNS += durNS
+	if failed {
+		b.spans[i].Status = "error"
+	}
 }
 
 // root finalizes slot 0 with the whole dispatch's extent.

@@ -34,6 +34,7 @@ func sketchAgentSetup(t *testing.T, mutate func(c *TCPClient)) (*Controller, *TC
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { a.Close() })
 	// Traffic flows after Build so the sketch (enabled there) sees it.
 	m.OfferWire([]dataplane.Batch{{Flow: "f1", Packets: 100, Bytes: 100 * 1448}}, time.Millisecond)
 	for i := 0; i < 50; i++ {

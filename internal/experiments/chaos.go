@@ -325,7 +325,7 @@ func chaosCrash(f ChaosFault) (ChaosOutcome, error) {
 	if err != nil {
 		return out, err
 	}
-	defer l.C.Close()
+	defer l.Close()
 	gate := &gatedClient{inner: &controller.LocalClient{A: l.Agents["m0"]}}
 	l.Ctl.RegisterAgent("m0", gate)
 	ch := sim.NewChaos(1)
@@ -396,7 +396,7 @@ func chaosPartition(f ChaosFault) (ChaosOutcome, error) {
 	if err != nil {
 		return out, err
 	}
-	defer l.C.Close()
+	defer l.Close()
 	// m1: one lightly loaded sink VM on a second machine of the tenant.
 	l.DefaultMachine("m1")
 	sink := middlebox.NewSink("m1/vmb/app", 2e9)
@@ -469,7 +469,7 @@ func chaosSkew(f ChaosFault) (ChaosOutcome, error) {
 	}
 
 	l := NewLab(time.Millisecond)
-	defer l.C.Close()
+	defer l.Close()
 	l.DefaultMachine("m0")
 	sink := middlebox.NewSink("m0/vm0/app", 1e9)
 	l.C.PlaceVM("m0", "vm0", 1.0, 1e9, sink)
@@ -485,6 +485,7 @@ func chaosSkew(f ChaosFault) (ChaosOutcome, error) {
 	if err != nil {
 		return out, err
 	}
+	defer a.Close()
 	a.AllowSpans = true // per-query agent_ts rides the spans session
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -557,7 +558,7 @@ func chaosSlowDisk(f ChaosFault) (ChaosOutcome, error) {
 	}
 
 	l := NewLab(time.Millisecond)
-	defer l.C.Close()
+	defer l.Close()
 	l.DefaultMachine("m0")
 	const vms = 2
 	for i := 0; i < vms; i++ {

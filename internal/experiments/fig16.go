@@ -68,6 +68,7 @@ func RunFig16(freqs []float64, window time.Duration) (*Fig16Result, error) {
 	if err := l.BuildAgents(); err != nil {
 		return nil, err
 	}
+	defer l.Close()
 	a := l.Agents["m0"]
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -75,6 +75,7 @@ func RunFig9(rounds int) (*Fig9Result, error) {
 	if err := l.BuildAgents(); err != nil {
 		return nil, err
 	}
+	defer l.Close()
 	a := l.Agents["m0"]
 
 	measure := func(ids ...core.ElementID) (time.Duration, error) {

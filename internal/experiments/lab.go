@@ -70,9 +70,21 @@ func (l *Lab) RefreshAgent(mid core.MachineID) error {
 	if err != nil {
 		return err
 	}
+	if old := l.Agents[mid]; old != nil {
+		old.Close()
+	}
 	l.Agents[mid] = a
 	l.Ctl.RegisterAgent(mid, &controller.LocalClient{A: a})
 	return nil
+}
+
+// Close releases the log files and channel connections the lab's agents
+// keep, and stops the cluster's worker pool if it has one.
+func (l *Lab) Close() {
+	for _, a := range l.Agents {
+		a.Close()
+	}
+	l.C.Close()
 }
 
 // DefaultMachine adds a paper-testbed machine (8 cores, 10 GbE).

@@ -69,7 +69,7 @@ func RunMboxKinds() (*MboxKindsResult, error) {
 // counters never see, but the app's drop counters do.
 func runIDSExperiment(res *MboxKindsResult) error {
 	l := NewLab(time.Millisecond)
-	defer l.C.Close()
+	defer l.Close()
 	l.DefaultMachine("m0")
 	srv := l.C.AddHost("srv", 0)
 	_ = srv
@@ -113,7 +113,7 @@ func runIDSExperiment(res *MboxKindsResult) error {
 // controller measures the warming from intervals alone.
 func runSmartCacheExperiment(res *MboxKindsResult) error {
 	l := NewLab(time.Millisecond)
-	defer l.C.Close()
+	defer l.Close()
 	l.DefaultMachine("m0")
 	l.C.AddHost("srv", 0)
 	out := l.C.Connect("f-out", cluster.VMEndpoint("m0", "vm-sc"), cluster.HostEndpoint("srv"), stream.Config{})

@@ -235,7 +235,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	serial.l.Run(cfg.Duration)
 	res.SerialWall = time.Since(start)
 	res.SerialHash = serial.trajectoryHash()
-	serial.l.C.Close()
+	serial.l.Close()
 
 	par, err := buildScaleLab(cfg, true, false)
 	if err != nil {
@@ -245,6 +245,6 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	par.l.Run(cfg.Duration)
 	res.ParallelWall = time.Since(start)
 	res.ParallelHash = par.trajectoryHash()
-	par.l.C.Close()
+	par.l.Close()
 	return res, nil
 }

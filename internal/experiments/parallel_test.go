@@ -34,7 +34,7 @@ func runGolden(t *testing.T, cfg ScaleConfig, parallel bool, workers int) (store
 	if err != nil {
 		t.Fatalf("build scale lab: %v", err)
 	}
-	defer sl.l.C.Close()
+	defer sl.l.Close()
 	st := history.New(history.Config{})
 	legs := 6
 	for i := 0; i < legs; i++ {

@@ -267,7 +267,8 @@ func TestTraceSpineEndToEnd(t *testing.T) {
 // (inside the test's own wall-clock window).
 func assertWaterfall(t *testing.T, tr *telemetry.StoredTrace, agentRoot string, testStart int64) {
 	t.Helper()
-	var sawController, sawRoot, sawChannel bool
+	var sawController, sawRoot bool
+	channels := 0 // the agent's one element sits on one channel: one child
 	now := time.Now().UnixNano()
 	for _, sp := range tr.Spans {
 		switch {
@@ -276,16 +277,18 @@ func assertWaterfall(t *testing.T, tr *telemetry.StoredTrace, agentRoot string, 
 		case sp.Name == agentRoot:
 			sawRoot = true
 		case sp.Name == "snapshot:encode":
-			sawChannel = true
+			channels++
+		default:
+			t.Fatalf("unexpected agent span %q: %+v", sp.Name, tr.Spans)
 		}
 		if sp.Component == "agent" && (sp.Start < testStart-int64(time.Minute) || sp.End() > now) {
 			t.Fatalf("agent span %q off the controller timeline: start=%d end=%d now=%d",
 				sp.Name, sp.Start, sp.End(), now)
 		}
 	}
-	if !sawController || !sawRoot || !sawChannel {
-		t.Fatalf("waterfall incomplete (controller=%v root(%s)=%v channel=%v): %+v",
-			sawController, agentRoot, sawRoot, sawChannel, tr.Spans)
+	if !sawController || !sawRoot || channels != 1 {
+		t.Fatalf("waterfall incomplete (controller=%v root(%s)=%v channel spans=%d): %+v",
+			sawController, agentRoot, sawRoot, channels, tr.Spans)
 	}
 	out := telemetry.RenderWaterfall(tr, 0)
 	if !strings.Contains(out, "agent/"+agentRoot) || !strings.Contains(out, "agent/snapshot:encode") {

@@ -8,9 +8,10 @@
 package procfs
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 )
 
@@ -75,44 +76,68 @@ type NetDevStats struct {
 	QueueCap  int
 }
 
+const netDevHeader = "Inter-|   Receive                    |  Transmit                    | Queue\n" +
+	" face |bytes    packets drop         |bytes    packets drop         | len cap\n"
+
 // FormatNetDev renders /proc/net/dev-style lines for the given devices,
 // with a header, plus queue occupancy columns (tx queue state is readable
 // via sysfs on Linux; folded into one file here).
 func FormatNetDev(devs []NetDevStats) []byte {
-	var b strings.Builder
-	b.WriteString("Inter-|   Receive                    |  Transmit                    | Queue\n")
-	b.WriteString(" face |bytes    packets drop         |bytes    packets drop         | len cap\n")
-	for _, d := range devs {
-		fmt.Fprintf(&b, "%s: %d %d %d %d %d %d %d %d\n",
-			d.Name, d.RxBytes, d.RxPackets, d.RxDropped,
-			d.TxBytes, d.TxPackets, d.TxDropped, d.QueueLen, d.QueueCap)
+	b := make([]byte, 0, len(netDevHeader)+64*len(devs))
+	b = append(b, netDevHeader...)
+	for i := range devs {
+		d := &devs[i]
+		b = append(b, d.Name...)
+		b = append(b, ':')
+		for _, v := range [...]uint64{d.RxBytes, d.RxPackets, d.RxDropped, d.TxBytes, d.TxPackets, d.TxDropped} {
+			b = strconv.AppendUint(append(b, ' '), v, 10)
+		}
+		b = strconv.AppendInt(append(b, ' '), int64(d.QueueLen), 10)
+		b = strconv.AppendInt(append(b, ' '), int64(d.QueueCap), 10)
+		b = append(b, '\n')
 	}
-	return []byte(b.String())
+	return b
 }
 
 // ParseNetDev parses FormatNetDev output.
 func ParseNetDev(data []byte) ([]NetDevStats, error) {
-	lines := strings.Split(string(data), "\n")
-	var out []NetDevStats
-	for i, line := range lines {
-		if i < 2 || strings.TrimSpace(line) == "" {
+	return AppendNetDev(nil, data)
+}
+
+// AppendNetDev is ParseNetDev appending to dst, for callers that parse the
+// same file every sweep: a device whose name matches the one already in
+// that slot of dst's backing array keeps that string, so re-parsing a
+// stable device table allocates nothing. Each device line is
+// `name: f1 … f8`, exactly eight space- or tab-separated decimal fields.
+func AppendNetDev(dst []NetDevStats, data []byte) ([]NetDevStats, error) {
+	keep := len(dst)
+	for i := 0; len(data) > 0; i++ {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte("\n"))
+		if i < 2 || len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		name, rest, ok := strings.Cut(line, ":")
+		name, rest, ok := bytes.Cut(line, []byte(":"))
 		if !ok {
-			return nil, fmt.Errorf("procfs: netdev line %d: missing device name: %q", i, line)
+			return dst[:keep], fmt.Errorf("procfs: netdev line %d: missing device name: %q", i, line)
 		}
+		name = bytes.TrimSpace(name)
 		var d NetDevStats
-		d.Name = strings.TrimSpace(name)
-		n, err := fmt.Sscanf(strings.TrimSpace(rest), "%d %d %d %d %d %d %d %d",
-			&d.RxBytes, &d.RxPackets, &d.RxDropped,
-			&d.TxBytes, &d.TxPackets, &d.TxDropped, &d.QueueLen, &d.QueueCap)
-		if err != nil || n != 8 {
-			return nil, fmt.Errorf("procfs: netdev line %d: parse %q: %v", i, line, err)
+		if n := len(dst); n < cap(dst) && dst[:n+1][n].Name == string(name) {
+			d.Name = dst[:n+1][n].Name
+		} else {
+			d.Name = string(name)
 		}
-		out = append(out, d)
+		f := fields{rest: bytes.TrimSuffix(rest, []byte("\r"))}
+		d.RxBytes, d.RxPackets, d.RxDropped = f.uint(10), f.uint(10), f.uint(10)
+		d.TxBytes, d.TxPackets, d.TxDropped = f.uint(10), f.uint(10), f.uint(10)
+		d.QueueLen, d.QueueCap = f.int(), f.int()
+		if !f.done() {
+			return dst[:keep], fmt.Errorf("procfs: netdev line %d: want 8 decimal fields: %q", i, line)
+		}
+		dst = append(dst, d)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // SoftnetStats is one per-CPU backlog queue's counter set.
@@ -125,26 +150,82 @@ type SoftnetStats struct {
 // FormatSoftnet renders /proc/net/softnet_stat-style hex columns, one line
 // per CPU.
 func FormatSoftnet(rows []SoftnetStats) []byte {
-	var b strings.Builder
+	b := make([]byte, 0, 27*len(rows))
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%08x %08x %08x\n", r.Processed, r.Dropped, r.Queued)
+		b = append(appendHex8(b, r.Processed), ' ')
+		b = append(appendHex8(b, r.Dropped), ' ')
+		b = append(appendHex8(b, r.Queued), '\n')
 	}
-	return []byte(b.String())
+	return b
+}
+
+// appendHex8 appends v as the kernel's %08x.
+func appendHex8(b []byte, v uint64) []byte {
+	for pad := uint64(1) << 28; pad > v && pad > 1; pad >>= 4 {
+		b = append(b, '0')
+	}
+	return strconv.AppendUint(b, v, 16)
 }
 
 // ParseSoftnet parses FormatSoftnet output.
 func ParseSoftnet(data []byte) ([]SoftnetStats, error) {
-	var out []SoftnetStats
-	for i, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		if strings.TrimSpace(line) == "" {
+	return AppendSoftnet(nil, data)
+}
+
+// AppendSoftnet is ParseSoftnet appending to dst. Each non-blank line is
+// exactly three space- or tab-separated hex fields.
+func AppendSoftnet(dst []SoftnetStats, data []byte) ([]SoftnetStats, error) {
+	keep := len(dst)
+	for i := 0; len(data) > 0; i++ {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte("\n"))
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var r SoftnetStats
-		n, err := fmt.Sscanf(line, "%x %x %x", &r.Processed, &r.Dropped, &r.Queued)
-		if err != nil || n != 3 {
-			return nil, fmt.Errorf("procfs: softnet line %d: parse %q: %v", i, line, err)
+		f := fields{rest: bytes.TrimSuffix(line, []byte("\r"))}
+		r := SoftnetStats{Processed: f.uint(16), Dropped: f.uint(16), Queued: f.uint(16)}
+		if !f.done() {
+			return dst[:keep], fmt.Errorf("procfs: softnet line %d: want 3 hex fields: %q", i, line)
 		}
-		out = append(out, r)
+		dst = append(dst, r)
 	}
-	return out, nil
+	return dst, nil
 }
+
+// fields scans one line's space- or tab-separated numeric columns in
+// place (string(col) does not escape into strconv, so nothing is copied to
+// the heap). The first malformed or missing column latches bad; done
+// reports whether every column parsed and none is left over.
+type fields struct {
+	rest []byte
+	bad  bool
+}
+
+// next returns the next column, empty at end of line.
+func (f *fields) next() []byte {
+	i := 0
+	for i < len(f.rest) && (f.rest[i] == ' ' || f.rest[i] == '\t') {
+		i++
+	}
+	j := i
+	for j < len(f.rest) && f.rest[j] != ' ' && f.rest[j] != '\t' {
+		j++
+	}
+	col := f.rest[i:j]
+	f.rest = f.rest[j:]
+	return col
+}
+
+func (f *fields) uint(base int) uint64 {
+	v, err := strconv.ParseUint(string(f.next()), base, 64)
+	f.bad = f.bad || err != nil
+	return v
+}
+
+func (f *fields) int() int {
+	v, err := strconv.ParseInt(string(f.next()), 10, strconv.IntSize)
+	f.bad = f.bad || err != nil
+	return int(v)
+}
+
+func (f *fields) done() bool { return !f.bad && len(f.next()) == 0 }
