@@ -20,12 +20,11 @@ import (
 	"time"
 
 	"perfsight/internal/agent"
-	"perfsight/internal/cluster"
 	"perfsight/internal/core"
 	"perfsight/internal/dataplane"
+	"perfsight/internal/experiments"
 	"perfsight/internal/machine"
 	"perfsight/internal/middlebox"
-	"perfsight/internal/stream"
 	"perfsight/internal/telemetry"
 	"perfsight/internal/wire"
 )
@@ -60,23 +59,15 @@ func main() {
 	}
 
 	mid := core.MachineID(*machineID)
-	c := cluster.New(time.Millisecond)
-	m := c.AddMachine(machine.DefaultConfig(mid))
-
+	l := experiments.NewLab(time.Millisecond)
+	m := l.C.AddMachine(machine.DefaultConfig(mid))
+	proxyCost := middlebox.NewProxy("", 0, nil).Cfg // the stock proxy's per-byte and per-packet cycles
 	for i := 0; i < *vms; i++ {
-		vm := core.VMID(fmt.Sprintf("vm%d", i))
-		appID := core.ElementID(fmt.Sprintf("%s/%s/app", mid, vm))
-		host := c.AddHost(fmt.Sprintf("client%d", i), 0)
-		c.AddHost(fmt.Sprintf("server%d", i), 0)
-		out := c.Connect(flowID(fmt.Sprintf("out-%d", i)),
-			cluster.VMEndpoint(mid, vm), cluster.HostEndpoint(fmt.Sprintf("server%d", i)), stream.Config{})
-		proxy := middlebox.NewProxy(appID, 1e9, middlebox.ConnOutput{C: out})
-		c.PlaceVM(mid, vm, 1.0, 1e9, proxy)
-		for j := 0; j < 4; j++ {
-			in := c.Connect(flowID(fmt.Sprintf("in-%d-%d", i, j)),
-				cluster.HostEndpoint(fmt.Sprintf("client%d", i)), cluster.VMEndpoint(mid, vm), stream.Config{})
-			host.AddSource(in, *rate*1e6/4)
-		}
+		l.AddProxyVM(experiments.ProxyVM{
+			Machine: mid, VM: core.VMID(fmt.Sprintf("vm%d", i)),
+			Flows: fmt.Sprintf("p%d", i), Hosts: fmt.Sprint(i),
+			Cost: proxyCost, Inflows: 4, RateBps: *rate * 1e6 / 4,
+		})
 	}
 
 	if *fault != "" {
@@ -92,7 +83,7 @@ func main() {
 	}
 
 	a, err := agent.Build(m, agent.BuildOptions{
-		Clock:     c.NowNS,
+		Clock:     l.C.NowNS,
 		FlowStats: flowMode,
 		Sketch: dataplane.SketchConfig{
 			Width: *sketchWidth,
@@ -115,8 +106,8 @@ func main() {
 	if *telemetryAddr != "" {
 		reg := telemetry.NewRegistry()
 		a.EnableTelemetry(reg)
-		c.EnableTelemetry(reg)
-		c.EnableDropTracing(mid, 4096)
+		l.C.EnableTelemetry(reg)
+		l.C.EnableDropTracing(mid, 4096)
 		started := time.Now()
 		mux := telemetry.NewMux(reg, func() telemetry.Health {
 			return telemetry.Health{
@@ -148,7 +139,7 @@ func main() {
 		tick := time.NewTicker(step)
 		defer tick.Stop()
 		for range tick.C {
-			c.Run(step)
+			l.C.Run(step)
 		}
 	}()
 
@@ -161,8 +152,6 @@ func main() {
 	a.Close()
 	log.Fatalf("serve: %v", err)
 }
-
-func flowID(s string) dataplane.FlowID { return dataplane.FlowID(s) }
 
 func parseFault(s string) (kind string, after time.Duration, err error) {
 	kind, rest, ok := strings.Cut(s, "@")

@@ -45,282 +45,188 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"time"
 
-	"perfsight/internal/agent"
-	"perfsight/internal/cluster"
-	"perfsight/internal/controller"
 	"perfsight/internal/core"
-	"perfsight/internal/dataplane"
 	"perfsight/internal/diagnosis"
+	"perfsight/internal/experiments"
 	"perfsight/internal/machine"
-	"perfsight/internal/middlebox"
-	"perfsight/internal/stream"
 )
 
-type scenario struct {
-	name, about string
-	run         func() error
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// subcommands talk to a running agent or controller over HTTP.
+var subcommands = map[string]func(args []string){
+	"top": runTop, "history": runHistory, "watch": runWatch, "diag": runDiag,
+	"incidents": runIncidents, "flows": runFlows, "trace": runTrace,
 }
 
-func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "top":
-			runTop(os.Args[2:])
-			return
-		case "history":
-			runHistory(os.Args[2:])
-			return
-		case "watch":
-			runWatch(os.Args[2:])
-			return
-		case "diag":
-			runDiag(os.Args[2:])
-			return
-		case "incidents":
-			runIncidents(os.Args[2:])
-			return
-		case "flows":
-			runFlows(os.Args[2:])
-			return
-		case "trace":
-			runTrace(os.Args[2:])
-			return
+// demos narrate four of the fault table's rows step by step, with their
+// own rates and warm-ups; every other row runs through runFault.
+var demos = map[string]func(w io.Writer) error{
+	"membw": runMembw, "backlog": runBacklog, "bottleneck": runBottleneck, "chain": runChain,
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		if sub, ok := subcommands[args[0]]; ok {
+			sub(args[1:])
+			return 0
 		}
 	}
-	name := flag.String("scenario", "list", "scenario to run (or 'list')")
-	flag.Parse()
-
-	scenarios := []scenario{
-		{"membw", "memory-bandwidth contention across VMs (Fig 11)", runMembw},
-		{"backlog", "pCPU backlog contention from a small-packet flood (Fig 10)", runBacklog},
-		{"bottleneck", "a single under-provisioned VM (Table 1, last row)", runBottleneck},
-		{"chain", "root-cause middlebox in a chain under propagation (Fig 12)", runChain},
+	fs := flag.NewFlagSet("perfsight", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("scenario", "list", "scenario to run (or 'list')")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
 	if *name == "list" {
-		fmt.Println("available scenarios:")
-		for _, s := range scenarios {
-			fmt.Printf("  %-12s %s\n", s.name, s.about)
+		fmt.Fprintln(stdout, "available scenarios:")
+		for _, f := range experiments.Faults {
+			fmt.Fprintf(stdout, "  %-18s %s\n", f.Name, f.About)
 		}
-		return
+		return 0
 	}
-	for _, s := range scenarios {
-		if s.name == *name {
-			if err := s.run(); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
+	f, ok := experiments.FaultByName(*name)
+	if !ok {
+		fmt.Fprintf(stderr, "unknown scenario %q; try -scenario list\n", *name)
+		return 2
 	}
-	fmt.Fprintf(os.Stderr, "unknown scenario %q; try -scenario list\n", *name)
-	os.Exit(2)
+	demo := demos[f.Name]
+	if demo == nil {
+		demo = func(w io.Writer) error { return runFault(w, f) }
+	}
+	if err := demo(stdout); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
 }
 
 const tid = core.TenantID("demo")
 
-// lab wires a cluster to a controller whose waits advance virtual time.
-type lab struct {
-	c   *cluster.Cluster
-	ctl *controller.Controller
-}
-
-func newLab() *lab {
-	c := cluster.New(time.Millisecond)
-	ctl := controller.New(c.Topology())
-	ctl.Wait = func(d time.Duration) { c.Run(d) }
-	return &lab{c: c, ctl: ctl}
-}
-
-func (l *lab) attachAgents() error {
-	for _, mid := range l.c.Machines() {
-		a, err := agent.Build(l.c.Machine(mid), agent.BuildOptions{Clock: l.c.NowNS})
-		if err != nil {
-			return err
-		}
-		l.ctl.RegisterAgent(mid, &controller.LocalClient{A: a})
+// runFault runs a fault table row as is and prints the verdict beside the
+// row's ground truth.
+func runFault(w io.Writer, f experiments.Fault) error {
+	fmt.Fprintf(w, "%s: warming up a healthy deployment, then injecting the fault...\n", f.About)
+	stack, chain, err := f.Diagnose(tid)
+	if err != nil {
+		return err
 	}
+	if chain != nil {
+		fmt.Fprintln(w, "verdict:", chain)
+		if len(f.RootCauses) == 0 {
+			fmt.Fprintln(w, "ground truth: the traffic source is underloaded")
+		} else {
+			fmt.Fprintln(w, "ground truth: root cause(s)", f.RootCauses)
+		}
+		return nil
+	}
+	fmt.Fprintln(w, "diagnosis:", stack)
+	fmt.Fprintf(w, "ground truth: %s, dropping at %s\n", f.Resource, f.Location)
 	return nil
 }
 
-func runMembw() error {
-	l := newLab()
-	m := l.c.AddMachine(machine.DefaultConfig("m0"))
-	for i := 0; i < 4; i++ {
-		vm := core.VMID(fmt.Sprintf("vm%d", i))
-		sink := middlebox.NewSink(core.ElementID(fmt.Sprintf("m0/%s/app", vm)), 2e9)
-		l.c.PlaceVM("m0", vm, 1.0, 2e9, sink)
-		host := l.c.AddHost(fmt.Sprintf("h%d", i), 0)
-		for j := 0; j < 4; j++ {
-			conn := l.c.Connect(flow("f%d-%d", i, j), cluster.HostEndpoint(fmt.Sprintf("h%d", i)),
-				cluster.VMEndpoint("m0", vm), stream.Config{})
-			host.AddSource(conn, 200e6)
-		}
-		l.c.AssignVM(tid, "m0", vm)
-	}
-	l.c.AssignStack(tid, "m0")
-	if err := l.attachAgents(); err != nil {
-		return err
-	}
-
-	tracer := l.c.EnableDropTracing("m0", 4096)
-
-	fmt.Println("warming up a healthy deployment (4 VMs receiving ~3.2 Gbps)...")
-	l.c.Run(3 * time.Second)
-	rep, err := diagnosis.FindContentionAndBottleneck(l.ctl, tid, time.Second)
+func runMembw(w io.Writer) error {
+	l, err := experiments.NewSinkFleet(tid, 4, 2e9, 800e6)
 	if err != nil {
 		return err
 	}
-	fmt.Println("baseline:", rep)
+	defer l.Close()
+	tracer := l.C.EnableDropTracing("m0", 4096)
 
-	fmt.Println("\nstarting memory-intensive VMs (streaming 26 GB/s)...")
-	m.AddHog(&machine.Hog{Name: "memvms", Kind: machine.HogMem, MemDemandBps: 26e9, CyclesPerByte: 0.33})
-	rep, err = diagnosis.FindContentionAndBottleneck(l.ctl, tid, 3*time.Second)
+	fmt.Fprintln(w, "warming up a healthy deployment (4 VMs receiving ~3.2 Gbps)...")
+	l.Run(3 * time.Second)
+	rep, err := diagnosis.FindContentionAndBottleneck(l.Ctl, tid, time.Second)
 	if err != nil {
 		return err
 	}
-	fmt.Println("diagnosis:", rep)
-	fmt.Printf("evidence: cpu %.0f%%, membus %.0f%%\n",
+	fmt.Fprintln(w, "baseline:", rep)
+
+	fmt.Fprintln(w, "\nstarting memory-intensive VMs (streaming 26 GB/s)...")
+	l.M.AddHog(experiments.MemHog("memvms", 26e9))
+	rep, err = diagnosis.FindContentionAndBottleneck(l.Ctl, tid, 3*time.Second)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "diagnosis:", rep)
+	fmt.Fprintf(w, "evidence: cpu %.0f%%, membus %.0f%%\n",
 		rep.Evidence.CPUUtil*100, rep.Evidence.MembusUtil*100)
-	fmt.Print(tracer)
-	fmt.Println("operator action: migrate the memory-intensive VMs (§7.3)")
+	fmt.Fprint(w, tracer)
+	fmt.Fprintln(w, "operator action: migrate the memory-intensive VMs (§7.3)")
 	return nil
 }
 
-func runBacklog() error {
-	l := newLab()
+func runBacklog(w io.Writer) error {
 	cfg := machine.DefaultConfig("m0")
-	cfg.Stack.PNICRxBps = 1e9
-	cfg.Stack.PNICTxBps = 1e9
-	cfg.Stack.BacklogQueues = 1
 	cfg.Stack.Costs.NAPICyclesPerPkt = 9000
-	l.c.AddMachine(cfg)
-
-	sink := middlebox.NewSink("m0/vm1/app", 1e9)
-	l.c.PlaceVM("m0", "vm1", 1.0, 1e9, sink)
-	src := l.c.AddHost("src", 0)
-	for j := 0; j < 4; j++ {
-		conn := l.c.Connect(flow("rx-%d", j, 0), cluster.HostEndpoint("src"),
-			cluster.VMEndpoint("m0", "vm1"), stream.Config{})
-		src.AddSource(conn, 125e6)
-	}
-	l.c.AddHost("peer", 0)
-	flood := middlebox.NewRawSource("m0/vm2/app", 1e9, "smallpkts", 0, 64, nil)
-	l.c.PlaceVM("m0", "vm2", 1.0, 1e9, flood)
-	l.c.RouteFlow("smallpkts", cluster.VMEndpoint("m0", "vm2"), cluster.HostEndpoint("peer"))
-	l.c.AssignStack(tid, "m0")
-	l.c.AssignVM(tid, "m0", "vm1")
-	l.c.AssignVM(tid, "m0", "vm2")
-	if err := l.attachAgents(); err != nil {
-		return err
-	}
-
-	fmt.Println("VM1 receiving 500 Mbps; VM2 idle...")
-	l.c.Run(3 * time.Second)
-	before := sink.ReceivedBytes()
-	l.c.Run(time.Second)
-	fmt.Printf("flow 1: %.0f Mbps\n", float64(sink.ReceivedBytes()-before)*8/1e6)
-
-	fmt.Println("\nVM2 floods 64-byte packets as fast as it can...")
-	flood.RateBps = 400e6
-	rep, err := diagnosis.FindContentionAndBottleneck(l.ctl, tid, 3*time.Second)
+	l, err := experiments.NewBacklogFlood(cfg, tid, nil)
 	if err != nil {
 		return err
 	}
-	before = sink.ReceivedBytes()
-	l.c.Run(time.Second)
-	fmt.Printf("flow 1 now: %.0f Mbps\n", float64(sink.ReceivedBytes()-before)*8/1e6)
-	fmt.Println("diagnosis:", rep)
-	fmt.Printf("NIC check: rx+tx %.0f Mbps of %.0f Mbps — the wire is NOT the problem\n",
+	defer l.Close()
+	flow1Mbps := func() float64 {
+		before := l.Sink.ReceivedBytes()
+		l.Run(time.Second)
+		return float64(l.Sink.ReceivedBytes()-before) * 8 / 1e6
+	}
+
+	fmt.Fprintln(w, "VM1 receiving 500 Mbps; VM2 idle...")
+	l.Run(3 * time.Second)
+	fmt.Fprintf(w, "flow 1: %.0f Mbps\n", flow1Mbps())
+
+	fmt.Fprintln(w, "\nVM2 floods 64-byte packets as fast as it can...")
+	l.StartFlood()
+	rep, err := diagnosis.FindContentionAndBottleneck(l.Ctl, tid, 3*time.Second)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "flow 1 now: %.0f Mbps\n", flow1Mbps())
+	fmt.Fprintln(w, "diagnosis:", rep)
+	fmt.Fprintf(w, "NIC check: rx+tx %.0f Mbps of %.0f Mbps — the wire is NOT the problem\n",
 		(rep.Evidence.PNICRxBps+rep.Evidence.PNICTxBps)/1e6, rep.Evidence.PNICCapBps/1e6)
 	return nil
 }
 
-func runBottleneck() error {
-	l := newLab()
-	l.c.AddMachine(machine.DefaultConfig("m0"))
-	l.c.PlaceVM("m0", "vm0", 1.0, 1e9, middlebox.NewSink("m0/vm0/app", 1e9))
-	l.c.PlaceVM("m0", "vm1", 0.02, 1e9, middlebox.NewSink("m0/vm1/app", 1e9)) // starved
-	gw := l.c.AddHost("gw", 0)
-	l.c.RouteFlow("f0", cluster.HostEndpoint("gw"), cluster.VMEndpoint("m0", "vm0"))
-	l.c.RouteFlow("f1", cluster.HostEndpoint("gw"), cluster.VMEndpoint("m0", "vm1"))
-	l.c.AddPostTickFunc(func(now, dt time.Duration) {
-		for _, f := range []string{"f0", "f1"} {
-			bytes := int64(400e6 / 8 * dt.Seconds())
-			gw.EmitRaw(wireBatch(f, bytes))
-		}
-	})
-	l.c.AssignStack(tid, "m0")
-	l.c.AssignVM(tid, "m0", "vm0")
-	l.c.AssignVM(tid, "m0", "vm1")
-	if err := l.attachAgents(); err != nil {
-		return err
-	}
-
-	fmt.Println("two VMs each receiving 400 Mbps; vm1 has 2% of a core...")
-	l.c.Run(2 * time.Second)
-	rep, err := diagnosis.FindContentionAndBottleneck(l.ctl, tid, 3*time.Second)
+func runBottleneck(w io.Writer) error {
+	l, err := experiments.NewBottleneck(tid)
 	if err != nil {
 		return err
 	}
-	fmt.Println("diagnosis:", rep)
-	fmt.Println("operator action: the tenant should redeploy", rep.BottleneckVM, "in a larger VM (§2.2)")
+	defer l.Close()
+
+	fmt.Fprintln(w, "two VMs each receiving 400 Mbps; vm1 has 2% of a core...")
+	l.Run(2 * time.Second)
+	rep, err := diagnosis.FindContentionAndBottleneck(l.Ctl, tid, 3*time.Second)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "diagnosis:", rep)
+	fmt.Fprintln(w, "operator action: the tenant should redeploy", rep.BottleneckVM, "in a larger VM (§2.2)")
 	return nil
 }
 
-func runChain() error {
-	l := newLab()
-	l.c.RmemPerConn = 212992
-	l.c.AddMachine(machine.DefaultConfig("m0"))
-	const C = 100e6
-
-	server := middlebox.NewServer("m0/vm-srv/app", C, 600)
-	l.c.PlaceVM("m0", "vm-srv", 1.0, C, server)
-	toSrv := l.c.Connect("px-srv", cluster.VMEndpoint("m0", "vm-px"), cluster.VMEndpoint("m0", "vm-srv"), stream.Config{})
-	proxy := middlebox.NewProxy("m0/vm-px/app", C, middlebox.ConnOutput{C: toSrv})
-	l.c.PlaceVM("m0", "vm-px", 1.0, C, proxy)
-	toPx := l.c.Connect("lb-px", cluster.VMEndpoint("m0", "vm-lb"), cluster.VMEndpoint("m0", "vm-px"), stream.Config{})
-	lb := middlebox.NewLoadBalancer("m0/vm-lb/app", C, middlebox.ConnOutput{C: toPx})
-	l.c.PlaceVM("m0", "vm-lb", 1.0, C, lb)
-	client := l.c.AddHost("client", 0)
-	in := l.c.Connect("cl-lb", cluster.HostEndpoint("client"), cluster.VMEndpoint("m0", "vm-lb"), stream.Config{})
-	client.AddSource(in, 0)
-
-	l.c.AssignStack(tid, "m0")
-	for _, vm := range []core.VMID{"vm-lb", "vm-px", "vm-srv"} {
-		l.c.AssignVM(tid, "m0", vm)
-	}
-	l.c.AddChain(tid, "m0/vm-lb/app", "m0/vm-px/app", "m0/vm-srv/app")
-	if err := l.attachAgents(); err != nil {
+func runChain(w io.Writer) error {
+	l, err := experiments.NewChain3(tid)
+	if err != nil {
 		return err
 	}
+	defer l.Close()
 
-	fmt.Println("client -> LB -> proxy -> server; the client POSTs as fast as possible...")
-	l.c.Run(3 * time.Second)
-	rep, err := diagnosis.LocateRootCause(l.ctl, tid, 2*time.Second)
+	fmt.Fprintln(w, "client -> LB -> proxy -> server; the client POSTs as fast as possible...")
+	l.Run(3 * time.Second)
+	rep, err := diagnosis.LocateRootCause(l.Ctl, tid, 2*time.Second)
 	if err != nil {
 		return err
 	}
 	for _, id := range []core.ElementID{"m0/vm-lb/app", "m0/vm-px/app", "m0/vm-srv/app"} {
 		m := rep.Metrics[id]
-		fmt.Printf("  %-16s b/t_in %10.1f Mbps  b/t_out %10.1f Mbps  %s\n",
+		fmt.Fprintf(w, "  %-16s b/t_in %10.1f Mbps  b/t_out %10.1f Mbps  %s\n",
 			id.Leaf()+"@"+string(id.VM()), m.InRateBps/1e6, m.OutRateBps/1e6, m.State)
 	}
-	fmt.Println("verdict:", rep)
+	fmt.Fprintln(w, "verdict:", rep)
 	return nil
-}
-
-func flow(format string, a, b int) dataplane.FlowID {
-	return dataplane.FlowID(fmt.Sprintf(format, a, b))
-}
-
-func wireBatch(f string, bytes int64) dataplane.Batch {
-	pkts := int(bytes / 1448)
-	if pkts < 1 {
-		pkts = 1
-	}
-	return dataplane.Batch{Flow: dataplane.FlowID(f), Packets: pkts, Bytes: bytes}
 }

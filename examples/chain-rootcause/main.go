@@ -13,85 +13,32 @@ import (
 	"log"
 	"time"
 
-	"perfsight/internal/agent"
-	"perfsight/internal/cluster"
-	"perfsight/internal/controller"
 	"perfsight/internal/core"
-	"perfsight/internal/dataplane"
 	"perfsight/internal/diagnosis"
-	"perfsight/internal/machine"
-	"perfsight/internal/middlebox"
-	"perfsight/internal/stream"
+	"perfsight/internal/experiments"
 )
 
-const (
-	tenant = core.TenantID("t-chain")
-	C      = 100e6 // every VM's vNIC capacity, as in the paper
-)
+const tenant = core.TenantID("t-chain")
 
 func main() {
-	c := cluster.New(time.Millisecond)
-	c.RmemPerConn = 212992 // Linux 3.2 per-socket rmem
-	c.AddMachine(machine.DefaultConfig("m0"))
-
-	// Servers and the shared NFS log server.
-	for i := 1; i <= 2; i++ {
-		vm := core.VMID(fmt.Sprintf("vm-s%d", i))
-		srv := middlebox.NewHTTPServer(core.ElementID(fmt.Sprintf("m0/%s/app", vm)), C)
-		c.PlaceVM("m0", vm, 1.0, C, srv)
-	}
-	nfs := middlebox.NewNFSServer("m0/vm-nfs/app", C, 40e6)
-	c.PlaceVM("m0", "vm-nfs", 1.0, C, nfs)
-
-	// Content filters forwarding to their servers, logging 15% to NFS.
-	for i := 1; i <= 2; i++ {
-		vm := core.VMID(fmt.Sprintf("vm-cf%d", i))
-		toSrv := c.Connect(dataplane.FlowID(fmt.Sprintf("cf%d-s", i)),
-			cluster.VMEndpoint("m0", vm), cluster.VMEndpoint("m0", core.VMID(fmt.Sprintf("vm-s%d", i))), stream.Config{})
-		toNFS := c.Connect(dataplane.FlowID(fmt.Sprintf("cf%d-nfs", i)),
-			cluster.VMEndpoint("m0", vm), cluster.VMEndpoint("m0", "vm-nfs"), stream.Config{})
-		cf := middlebox.NewContentFilter(core.ElementID(fmt.Sprintf("m0/%s/app", vm)), C, 0.15,
-			middlebox.ConnOutput{C: toSrv})
-		cf.SetLogOutput(middlebox.ConnOutput{C: toNFS})
-		c.PlaceVM("m0", vm, 1.0, C, cf)
-	}
-
-	// The load balancer splitting client traffic across the filters.
-	toCF1 := c.Connect("lb-cf1", cluster.VMEndpoint("m0", "vm-lb"), cluster.VMEndpoint("m0", "vm-cf1"), stream.Config{})
-	toCF2 := c.Connect("lb-cf2", cluster.VMEndpoint("m0", "vm-lb"), cluster.VMEndpoint("m0", "vm-cf2"), stream.Config{})
-	lb := middlebox.NewLoadBalancer("m0/vm-lb/app", C, middlebox.ConnOutput{C: toCF1}, middlebox.ConnOutput{C: toCF2})
-	c.PlaceVM("m0", "vm-lb", 1.0, C, lb)
-
-	client := c.AddHost("client", 0)
-	in := c.Connect("client-lb", cluster.HostEndpoint("client"), cluster.VMEndpoint("m0", "vm-lb"), stream.Config{})
-	client.AddSource(in, 70e6)
-
-	// PerfSight: topology, chains, agent, controller.
-	c.AssignStack(tenant, "m0")
-	for _, vm := range []core.VMID{"vm-lb", "vm-cf1", "vm-cf2", "vm-s1", "vm-s2", "vm-nfs"} {
-		c.AssignVM(tenant, "m0", vm)
-	}
-	c.AddChain(tenant, "m0/vm-lb/app", "m0/vm-cf1/app", "m0/vm-s1/app")
-	c.AddChain(tenant, "m0/vm-lb/app", "m0/vm-cf2/app", "m0/vm-s2/app")
-	c.AddChain(tenant, "m0/vm-cf1/app", "m0/vm-nfs/app")
-	c.AddChain(tenant, "m0/vm-cf2/app", "m0/vm-nfs/app")
-
-	a, err := agent.Build(c.Machine("m0"), agent.BuildOptions{Clock: c.NowNS})
+	// The Fig 12 deployment on one machine, every vNIC 100 Mbps as in the
+	// paper: typical HTTP servers (20 cycles/byte), content filters logging
+	// 15% of their traffic to NFS, a client offering 70 Mbps; plus the
+	// tenant's chains, the machine's agent and a controller.
+	ch, err := experiments.NewFig12Chain(tenant, 20, 70e6)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctl := controller.New(c.Topology())
-	ctl.Wait = func(d time.Duration) { c.Run(d) }
-	ctl.RegisterAgent("m0", &controller.LocalClient{A: a})
+	defer ch.Close()
 
 	show := func(tag string) {
-		rep, err := diagnosis.LocateRootCause(ctl, tenant, 2*time.Second)
+		rep, err := diagnosis.LocateRootCause(ch.Ctl, tenant, 2*time.Second)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n%s\n", tag)
 		fmt.Println("middlebox         b/t_in (Mbps)  b/t_out (Mbps)  state")
-		for _, id := range []core.ElementID{"m0/vm-lb/app", "m0/vm-cf1/app", "m0/vm-cf2/app", "m0/vm-nfs/app", "m0/vm-s1/app", "m0/vm-s2/app"} {
+		for _, id := range experiments.Fig12Elements {
 			m := rep.Metrics[id]
 			out := "N/A"
 			if m.OutActive {
@@ -103,11 +50,11 @@ func main() {
 	}
 
 	fmt.Println("chain: client -> LB -> {CF1, CF2} -> {S1, S2}, CFs log to shared NFS")
-	c.Run(3 * time.Second)
+	ch.Run(3 * time.Second)
 	show("healthy deployment:")
 
 	fmt.Println("\n>>> injecting a memory leak into the NFS server (CentOS bug 7267)")
-	nfs.InjectLeak(c.Now(), 50)
-	c.Run(10 * time.Second) // the stall creeps through the chain
+	ch.NFS.InjectLeak(ch.C.Now(), 50)
+	ch.Run(10 * time.Second) // the stall creeps through the chain
 	show("after the leak has propagated:")
 }

@@ -13,68 +13,44 @@ import (
 	"log"
 	"time"
 
-	"perfsight/internal/agent"
-	"perfsight/internal/cluster"
-	"perfsight/internal/controller"
 	"perfsight/internal/core"
-	"perfsight/internal/dataplane"
 	"perfsight/internal/diagnosis"
-	"perfsight/internal/machine"
-	"perfsight/internal/middlebox"
-	"perfsight/internal/stream"
+	"perfsight/internal/experiments"
 )
 
 const tenant = core.TenantID("t-net")
 
 func main() {
-	c := cluster.New(time.Millisecond)
-	m := c.AddMachine(machine.DefaultConfig("m0"))
-
-	// Four network-intensive tenant VMs, each receiving ~850 Mbps.
-	sinks := make([]*middlebox.Sink, 4)
-	for i := 0; i < 4; i++ {
-		vm := core.VMID(fmt.Sprintf("vm%d", i))
-		sinks[i] = middlebox.NewSink(core.ElementID(fmt.Sprintf("m0/%s/app", vm)), 2e9)
-		c.PlaceVM("m0", vm, 1.0, 2e9, sinks[i])
-		host := c.AddHost(fmt.Sprintf("h%d", i), 0)
-		for j := 0; j < 4; j++ {
-			conn := c.Connect(dataplane.FlowID(fmt.Sprintf("f%d-%d", i, j)),
-				cluster.HostEndpoint(fmt.Sprintf("h%d", i)), cluster.VMEndpoint("m0", vm), stream.Config{})
-			host.AddSource(conn, 850e6/4)
-		}
-		c.AssignVM(tenant, "m0", vm)
-	}
-	c.AssignStack(tenant, "m0")
-
-	a, err := agent.Build(m, agent.BuildOptions{Clock: c.NowNS})
+	// Four network-intensive tenant VMs on one machine, each receiving
+	// ~850 Mbps, with the machine's agent and a controller whose
+	// measurement windows advance virtual time.
+	l, err := experiments.NewSinkFleet(tenant, 4, 2e9, 850e6)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctl := controller.New(c.Topology())
-	ctl.Wait = func(d time.Duration) { c.Run(d) }
-	ctl.RegisterAgent("m0", &controller.LocalClient{A: a})
+	defer l.Close()
 
 	throughput := func(window time.Duration) float64 {
 		var before int64
-		for _, s := range sinks {
+		for _, s := range l.Sinks {
 			before += s.ReceivedBytes()
 		}
-		c.Run(window)
+		l.Run(window)
 		var after int64
-		for _, s := range sinks {
+		for _, s := range l.Sinks {
 			after += s.ReceivedBytes()
 		}
 		return float64(after-before) * 8 / window.Seconds() / 1e9
 	}
 
-	c.Run(2 * time.Second)
+	l.Run(2 * time.Second)
 	fmt.Printf("healthy aggregate throughput: %.2f Gbps\n", throughput(2*time.Second))
 
 	fmt.Println("\n>>> memory-intensive VMs start (26 GB/s of streaming copies)")
-	hog := m.AddHog(&machine.Hog{Name: "memvms", Kind: machine.HogMem, MemDemandBps: 26e9, CyclesPerByte: 0.33})
+	hog := l.M.AddHog(experiments.MemHog("memvms", 26e9))
 
 	// Diagnose over the onset — the operator's view through agents.
-	rep, err := diagnosis.FindContentionAndBottleneck(ctl, tenant, 3*time.Second)
+	rep, err := diagnosis.FindContentionAndBottleneck(l.Ctl, tenant, 3*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +68,7 @@ func main() {
 	fmt.Printf("  evidence: cpu %.0f%%, membus %.0f%% => %s\n",
 		rep.Evidence.CPUUtil*100, rep.Evidence.MembusUtil*100, rep.Inferred)
 	fmt.Println("\n>>> the operator migrates the memory-intensive VMs away")
-	m.RemoveHog(hog)
-	c.Run(2 * time.Second)
+	l.M.RemoveHog(hog)
+	l.Run(2 * time.Second)
 	fmt.Printf("recovered aggregate throughput: %.2f Gbps\n", throughput(2*time.Second))
 }

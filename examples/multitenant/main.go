@@ -11,108 +11,43 @@ import (
 	"log"
 	"time"
 
-	"perfsight/internal/agent"
-	"perfsight/internal/cluster"
-	"perfsight/internal/controller"
-	"perfsight/internal/core"
-	"perfsight/internal/dataplane"
 	"perfsight/internal/diagnosis"
-	"perfsight/internal/machine"
-	"perfsight/internal/middlebox"
-	"perfsight/internal/stream"
+	"perfsight/internal/experiments"
 )
 
 func main() {
-	c := cluster.New(time.Millisecond)
-	c.RmemPerConn = 212992
-	shared := machine.DefaultConfig("m-shared")
-	shared.Stack.VNICRing = 256
-	shared.Stack.SocketRxBytes = 512 << 10
-	m := c.AddMachine(shared)
-	c.AddMachine(machine.DefaultConfig("m-spare"))
-
 	// Tenant 1: 180 Mbps through a fast proxy. Tenant 2: 360 Mbps offered,
-	// but its proxy can only process ~200 Mbps.
-	c.AddHost("server1", 0)
-	out1 := c.Connect("t1-out", cluster.VMEndpoint("m-shared", "vm-p1"), cluster.HostEndpoint("server1"), stream.Config{})
-	p1 := middlebox.NewForwarder("m-shared/vm-p1/app", 1e9,
-		middlebox.ForwardConfig{CyclesPerByte: 10, CyclesPerPacket: 2500}, middlebox.ConnOutput{C: out1})
-	c.PlaceVM("m-shared", "vm-p1", 1.0, 1e9, p1)
-	c1 := c.AddHost("client1", 0)
-	for j := 0; j < 6; j++ {
-		in := c.Connect(dataplane.FlowID(fmt.Sprintf("t1-%d", j)),
-			cluster.HostEndpoint("client1"), cluster.VMEndpoint("m-shared", "vm-p1"), stream.Config{})
-		c1.AddSource(in, 30e6)
+	// but its proxy can only process ~200 Mbps. Both proxies share
+	// m-shared; m-spare stands empty. Each tenant has its own view, the
+	// operator sees every VM on the machine.
+	l, err := experiments.NewFig13()
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer l.Close()
 
-	c.AddHost("server2", 0)
-	out2 := c.Connect("t2-out", cluster.VMEndpoint("m-shared", "vm-p2"), cluster.HostEndpoint("server2"), stream.Config{})
-	p2 := middlebox.NewForwarder("m-shared/vm-p2/app", 1e9,
-		middlebox.ForwardConfig{CyclesPerByte: 88, CyclesPerPacket: 3000}, middlebox.ConnOutput{C: out2})
-	c.PlaceVM("m-shared", "vm-p2", 1.0, 1e9, p2)
-	c2 := c.AddHost("client2", 0)
-	for j := 0; j < 8; j++ {
-		in := c.Connect(dataplane.FlowID(fmt.Sprintf("t2-%d", j)),
-			cluster.HostEndpoint("client2"), cluster.VMEndpoint("m-shared", "vm-p2"), stream.Config{})
-		c2.AddSource(in, 45e6)
-	}
-
-	// PerfSight wiring: per-tenant views plus the operator's full view.
-	const (
-		t1 = core.TenantID("tenant1")
-		t2 = core.TenantID("tenant2")
-		op = core.TenantID("operator")
-	)
-	for _, tid := range []core.TenantID{t1, t2, op} {
-		c.AssignStack(tid, "m-shared")
-	}
-	c.AssignVM(t1, "m-shared", "vm-p1")
-	c.AssignVM(t2, "m-shared", "vm-p2")
-	c.AssignVM(op, "m-shared", "vm-p1")
-	c.AssignVM(op, "m-shared", "vm-p2")
-	c.AddChain(t2, "m-shared/vm-p2/app")
-
-	ctl := controller.New(c.Topology())
-	ctl.Wait = func(d time.Duration) { c.Run(d) }
-	for _, mid := range c.Machines() {
-		a, err := agent.Build(c.Machine(mid), agent.BuildOptions{Clock: c.NowNS})
-		if err != nil {
-			log.Fatal(err)
-		}
-		ctl.RegisterAgent(mid, &controller.LocalClient{A: a})
-	}
-
-	var out2b *stream.Conn
 	report := func(tag string) {
-		d1, d2 := out1.DeliveredBytes(), out2.DeliveredBytes()
-		var d2b int64
-		if out2b != nil {
-			d2b = out2b.DeliveredBytes()
-		}
-		c.Run(2 * time.Second)
-		n1, n2 := out1.DeliveredBytes(), out2.DeliveredBytes()
-		var n2b int64
-		if out2b != nil {
-			n2b = out2b.DeliveredBytes()
-		}
+		d1, d2 := l.Delivered()
+		l.Run(2 * time.Second)
+		n1, n2 := l.Delivered()
 		fmt.Printf("%-28s tenant1 %3.0f Mbps   tenant2 %3.0f Mbps\n", tag,
-			float64(n1-d1)*8/2e6, float64(n2-d2+n2b-d2b)*8/2e6)
+			float64(n1-d1)*8/2e6, float64(n2-d2)*8/2e6)
 	}
 
 	fmt.Println("two tenants share m-shared; tenant 2 offers 360 Mbps")
-	c.Run(3 * time.Second)
+	l.Run(3 * time.Second)
 	report("initial:")
 
 	// Tenant 2 complains. The operator checks its middlebox states.
-	rc, err := diagnosis.LocateRootCause(ctl, t2, 2*time.Second)
+	rc, err := diagnosis.LocateRootCause(l.Ctl, experiments.Fig13Tenant2, 2*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf(">>> tenant 2's ticket: %s\n", rc)
 
 	fmt.Println("\n>>> a memory-intensive management task lands on m-shared")
-	hog := m.AddHog(&machine.Hog{Name: "mgmt", Kind: machine.HogMem, MemDemandBps: 26e9, CyclesPerByte: 0.33})
-	rep, err := diagnosis.FindContentionAndBottleneck(ctl, op, 3*time.Second)
+	hog := l.M.AddHog(experiments.MemHog("mgmt", 26e9))
+	rep, err := diagnosis.FindContentionAndBottleneck(l.Ctl, experiments.Fig13Operator, 3*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -120,19 +55,14 @@ func main() {
 	fmt.Printf(">>> operator's diagnosis: %s (dropping VMs: %v)\n", rep, rep.DroppingVMs)
 
 	fmt.Println("\n>>> operator migrates the management task away")
-	m.RemoveHog(hog)
-	c.Run(2 * time.Second)
+	l.M.RemoveHog(hog)
+	l.Run(2 * time.Second)
 	report("after migration:")
 
 	fmt.Println("\n>>> operator scales tenant 2's proxy out to m-spare")
-	out2b = c.Connect("t2b-out", cluster.VMEndpoint("m-spare", "vm-p2b"), cluster.HostEndpoint("server2"), stream.Config{})
-	p2b := middlebox.NewForwarder("m-spare/vm-p2b/app", 1e9,
-		middlebox.ForwardConfig{CyclesPerByte: 88, CyclesPerPacket: 3000}, middlebox.ConnOutput{C: out2b})
-	c.PlaceVM("m-spare", "vm-p2b", 1.0, 1e9, p2b)
-	for j := 4; j < 8; j++ {
-		c.RerouteFlow(dataplane.FlowID(fmt.Sprintf("t2-%d", j)),
-			cluster.HostEndpoint("client2"), cluster.VMEndpoint("m-spare", "vm-p2b"))
+	if err := l.ScaleOut(); err != nil {
+		log.Fatal(err)
 	}
-	c.Run(3 * time.Second)
+	l.Run(3 * time.Second)
 	report("after scale-out:")
 }

@@ -41,6 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer a.Close()
 	ctl := controller.New(c.Topology())
 	ctl.Wait = func(d time.Duration) { c.Run(d) }
 	ctl.RegisterAgent("m0", &controller.LocalClient{A: a})

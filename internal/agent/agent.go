@@ -27,6 +27,10 @@ type Agent struct {
 	mu       sync.RWMutex
 	adapters map[core.ElementID]Adapter
 
+	// tempLogDir is the QEMU log directory Build made because its caller
+	// named none; Close removes it.
+	tempLogDir string
+
 	// sources holds the idle per-fetch *Sources, so a steady-state fetch
 	// reuses an earlier one's parse scratch; as many exist as fetches have
 	// ever run at once. (Not a sync.Pool: a collection would empty it, and
@@ -128,15 +132,20 @@ func (a *Agent) Unregister(id core.ElementID) {
 }
 
 // Close releases the log files and channel connections the adapters keep
-// between fetches. The agent stays usable — a later fetch reopens what it
-// needs — so Close is for the end of the agent's life.
+// between fetches, and removes the QEMU log directory when Build made it
+// (a caller-supplied QEMULogDir is the caller's). It is for the end of the
+// agent's life: a later fetch reopens files and connections, but finds no
+// QEMU logs once their directory is gone.
 func (a *Agent) Close() error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	for _, ad := range a.adapters {
 		closeAdapter(ad)
 	}
-	return nil
+	if a.tempLogDir == "" {
+		return nil
+	}
+	return os.RemoveAll(a.tempLogDir)
 }
 
 // closeAdapter closes what ad keeps open, if anything; the kept files and

@@ -340,3 +340,45 @@ func TestCalibratedLatenciesOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseRemovesOnlyItsOwnLogDir: Build makes a temp QEMU log directory
+// when given none and Close removes it; a directory the caller supplied is
+// the caller's and survives, logs and all.
+func TestCloseRemovesOnlyItsOwnLogDir(t *testing.T) {
+	m := testMachine(t)
+	fetchQEMU := func(a *Agent) {
+		t.Helper()
+		if _, err := a.Fetch([]core.ElementID{"m0/vm0/qemu"}, nil, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	a, err := Build(m, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetchQEMU(a)
+	dir := a.tempLogDir
+	if _, err := os.Stat(filepath.Join(dir, "qemu-vm0.log")); err != nil {
+		t.Fatalf("no QEMU log in the directory Build made: %v", err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("Close left %s behind (stat err %v)", dir, err)
+	}
+
+	mine := t.TempDir()
+	b, err := Build(m, BuildOptions{QEMULogDir: mine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetchQEMU(b)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(mine, "qemu-vm0.log")); err != nil {
+		t.Errorf("Close touched the caller's QEMULogDir: %v", err)
+	}
+}

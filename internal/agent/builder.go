@@ -39,7 +39,8 @@ func CalibratedLatencies() Latencies {
 type BuildOptions struct {
 	// FS is the virtual /proc tree; a fresh one is created if nil.
 	FS *procfs.FS
-	// QEMULogDir receives per-VM QEMU counter logs; a temp dir if "".
+	// QEMULogDir receives per-VM QEMU counter logs; if "", a temp dir
+	// that Agent.Close removes.
 	QEMULogDir string
 	// UseMboxSockets serves middlebox stats over stats sockets instead of
 	// the direct API.
@@ -69,16 +70,15 @@ func Build(m *machine.Machine, opts BuildOptions) (*Agent, error) {
 	if fs == nil {
 		fs = procfs.New()
 	}
+	a := New(m.ID(), opts.Clock)
 	logDir := opts.QEMULogDir
 	if logDir == "" {
 		d, err := os.MkdirTemp("", "perfsight-qemu-")
 		if err != nil {
 			return nil, fmt.Errorf("agent: build %s: %w", m.ID(), err)
 		}
-		logDir = d
+		logDir, a.tempLogDir = d, d
 	}
-
-	a := New(m.ID(), opts.Clock)
 	lat := opts.Latencies
 	stack := m.Stack
 

@@ -5,11 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"perfsight/internal/cluster"
 	"perfsight/internal/core"
 	"perfsight/internal/machine"
-	"perfsight/internal/middlebox"
-	"perfsight/internal/stream"
 )
 
 // AblationRow compares a design choice enabled vs disabled on the metric
@@ -120,58 +117,41 @@ func RunAblations() (*AblationResult, error) {
 // backlogVictimMbps reproduces the Fig 10 core and returns the victim
 // flow's throughput during the flood.
 func backlogVictimMbps(noFairAdmission bool) (float64, error) {
-	l := NewLab(time.Millisecond)
 	cfg := machine.DefaultConfig("m0")
-	cfg.Stack.PNICRxBps = 1e9
-	cfg.Stack.PNICTxBps = 1e9
-	cfg.Stack.BacklogQueues = 1
 	cfg.Stack.Costs.NAPICyclesPerPkt = 9000
 	cfg.Stack.NoFairBacklogAdmission = noFairAdmission
-	l.C.AddMachine(cfg)
-
-	sink := middlebox.NewSink("m0/vm1/app", 1e9)
-	l.C.PlaceVM("m0", "vm1", 1.0, 1e9, sink)
-	src := l.C.AddHost("src", 0)
-	for j := 0; j < 4; j++ {
-		conn := l.C.Connect(flowID(fmt.Sprintf("rx-%d", j)),
-			cluster.HostEndpoint("src"), cluster.VMEndpoint("m0", "vm1"), stream.Config{})
-		src.AddSource(conn, 125e6)
+	l, err := NewBacklogFlood(cfg, "", nil)
+	if err != nil {
+		return 0, err
 	}
-	l.C.AddHost("peer", 0)
-	flood := middlebox.NewRawSource("m0/vm2/app", 1e9, "smallpkts", 0, 64, nil)
-	l.C.PlaceVM("m0", "vm2", 1.0, 1e9, flood)
-	l.C.RouteFlow("smallpkts", cluster.VMEndpoint("m0", "vm2"), cluster.HostEndpoint("peer"))
+	defer l.Close()
 
 	l.Run(3 * time.Second)
-	flood.RateBps = 400e6
+	l.StartFlood()
 	l.Run(2 * time.Second) // let the collapse settle
-	before := sink.ReceivedBytes()
+	before := l.Sink.ReceivedBytes()
 	l.Run(2 * time.Second)
-	return float64(sink.ReceivedBytes()-before) * 8 / 2 / 1e6, nil
+	return float64(l.Sink.ReceivedBytes()-before) * 8 / 2 / 1e6, nil
+}
+
+// fig8Core is one of Fig 8's middlebox VMs, vm-mb, alone on the testbed-era
+// machine (virtio ring of 256, Linux 3.2 rmem) under its offered load.
+func fig8Core(cfg machine.Config) (*Lab, *machine.Machine) {
+	l := NewLab(time.Millisecond)
+	l.C.RmemPerConn = 212992
+	cfg.Stack.VNICRing = 256
+	m := l.C.AddMachine(cfg)
+	l.AddProxyVM(ProxyVM{Machine: "m0", VM: "vm-mb", Flows: "mb", Cost: thinLB, Inflows: 10, RateBps: 42e6})
+	return l, m
 }
 
 // cpuContentionTUNDrops reproduces the Fig 8 CPU phase and returns the
 // middlebox VMs' TUN drops over the fault window.
 func cpuContentionTUNDrops(noInflation bool) (float64, error) {
-	l := NewLab(time.Millisecond)
-	l.C.RmemPerConn = 212992
 	cfg := machine.DefaultConfig("m0")
-	cfg.Stack.VNICRing = 256
 	cfg.NoLoadInflation = noInflation
-	m := l.C.AddMachine(cfg)
-
-	vm := core.VMID("vm-mb")
-	l.C.AddHost("server", 0)
-	out := l.C.Connect("mb-out", cluster.VMEndpoint("m0", vm), cluster.HostEndpoint("server"), stream.Config{})
-	lb := middlebox.NewForwarder("m0/vm-mb/app", 1e9,
-		middlebox.ForwardConfig{CyclesPerByte: 8, CyclesPerPacket: 2000}, middlebox.ConnOutput{C: out})
-	l.C.PlaceVM("m0", vm, 1.0, 1e9, lb)
-	client := l.C.AddHost("client", 0)
-	for j := 0; j < 10; j++ {
-		in := l.C.Connect(flowID(fmt.Sprintf("mb-in%d", j)),
-			cluster.HostEndpoint("client"), cluster.VMEndpoint("m0", vm), stream.Config{})
-		client.AddSource(in, 42e6)
-	}
+	l, m := fig8Core(cfg)
+	defer l.Close()
 	for i := 0; i < 6; i++ {
 		hv := core.VMID(fmt.Sprintf("vm-t%d", i))
 		l.C.PlaceVM("m0", hv, 1.0, 1e9)
@@ -184,37 +164,22 @@ func cpuContentionTUNDrops(noInflation bool) (float64, error) {
 			VM: core.VMID(fmt.Sprintf("vm-t%d", i)), CPUDemandCores: 2.0,
 		})
 	}
-	before := m.VM(vm).Stack.Tun.ES.Drop.Packets.Load()
+	before := m.VM("vm-mb").Stack.Tun.ES.Drop.Packets.Load()
 	l.Run(6 * time.Second)
-	return float64(m.VM(vm).Stack.Tun.ES.Drop.Packets.Load() - before), nil
+	return float64(m.VM("vm-mb").Stack.Tun.ES.Drop.Packets.Load() - before), nil
 }
 
 // vmHogTUNDrops reproduces the Fig 8 phase-5 core (a CPU hog inside a
 // middlebox VM) and returns that VM's TUN drops during the fault.
 func vmHogTUNDrops(noBursts bool) (float64, error) {
-	l := NewLab(time.Millisecond)
-	l.C.RmemPerConn = 212992
 	cfg := machine.DefaultConfig("m0")
-	cfg.Stack.VNICRing = 256
 	cfg.NoGuestBurstScheduling = noBursts
-	m := l.C.AddMachine(cfg)
-
-	vm := core.VMID("vm-mb")
-	l.C.AddHost("server", 0)
-	out := l.C.Connect("mb-out", cluster.VMEndpoint("m0", vm), cluster.HostEndpoint("server"), stream.Config{})
-	lb := middlebox.NewForwarder("m0/vm-mb/app", 1e9,
-		middlebox.ForwardConfig{CyclesPerByte: 8, CyclesPerPacket: 2000}, middlebox.ConnOutput{C: out})
-	l.C.PlaceVM("m0", vm, 1.0, 1e9, lb)
-	client := l.C.AddHost("client", 0)
-	for j := 0; j < 10; j++ {
-		in := l.C.Connect(flowID(fmt.Sprintf("mb-in%d", j)),
-			cluster.HostEndpoint("client"), cluster.VMEndpoint("m0", vm), stream.Config{})
-		client.AddSource(in, 42e6)
-	}
+	l, m := fig8Core(cfg)
+	defer l.Close()
 
 	l.Run(3 * time.Second)
-	m.AddHog(&machine.Hog{Name: "vmhog", Kind: machine.HogCPU, VM: vm, CPUDemandCores: 4})
-	before := m.VM(vm).Stack.Tun.ES.Drop.Packets.Load()
+	m.AddHog(&machine.Hog{Name: "vmhog", Kind: machine.HogCPU, VM: "vm-mb", CPUDemandCores: 4})
+	before := m.VM("vm-mb").Stack.Tun.ES.Drop.Packets.Load()
 	l.Run(6 * time.Second)
-	return float64(m.VM(vm).Stack.Tun.ES.Drop.Packets.Load() - before), nil
+	return float64(m.VM("vm-mb").Stack.Tun.ES.Drop.Packets.Load() - before), nil
 }

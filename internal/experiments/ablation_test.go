@@ -9,6 +9,7 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "ablations", r)
 	for _, row := range r.Rows {
 		if !row.Holds {
 			t.Errorf("%s: with=%.2f without=%.2f (%s)", row.Choice, row.With, row.Without, row.Expected)

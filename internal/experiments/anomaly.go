@@ -7,11 +7,7 @@ import (
 	"time"
 
 	"perfsight/internal/anomaly"
-	"perfsight/internal/cluster"
-	"perfsight/internal/core"
 	"perfsight/internal/machine"
-	"perfsight/internal/middlebox"
-	"perfsight/internal/stream"
 )
 
 // AnomalyLabResult is the anomaly-pipeline acceptance experiment: replay
@@ -94,28 +90,8 @@ func (r *AnomalyLabResult) String() string {
 
 // anomalyScenario builds the Fig 11 oversubscription lab: four
 // network-intensive VMs behind one pNIC, offered ~3.4 Gbps aggregate.
-func anomalyScenario() (*Lab, *machine.Machine, core.TenantID, error) {
-	l := NewLab(time.Millisecond)
-	m := l.DefaultMachine("m0")
-	const tid = core.TenantID("t-anom")
-	for i := 0; i < 4; i++ {
-		vm := core.VMID(fmt.Sprintf("vm%d", i))
-		sink := middlebox.NewSink(core.ElementID(fmt.Sprintf("m0/%s/app", vm)), 2e9)
-		l.C.PlaceVM("m0", vm, 1.0, 2e9, sink)
-		hn := fmt.Sprintf("h%d", i)
-		host := l.C.AddHost(hn, 0)
-		for j := 0; j < 4; j++ {
-			conn := l.C.Connect(flowID(fmt.Sprintf("f%d-%d", i, j)),
-				cluster.HostEndpoint(hn), cluster.VMEndpoint("m0", vm), stream.Config{})
-			host.AddSource(conn, 3.4e9/16)
-		}
-		l.C.AssignVM(tid, "m0", vm)
-	}
-	l.C.AssignStack(tid, "m0")
-	if err := l.BuildAgents(); err != nil {
-		return nil, nil, "", err
-	}
-	return l, m, tid, nil
+func anomalyScenario() (*SinkFleet, error) {
+	return NewSinkFleet("t-anom", 4, 2e9, 3.4e9/4)
 }
 
 // anomalySLO is the experiment's tenant SLO: a 100 pps drop threshold
@@ -143,23 +119,24 @@ func RunAnomalyLab() (*AnomalyLabResult, error) {
 
 	// Twin run, pipeline detached: the sweep-cost baseline.
 	{
-		l, m, _, err := anomalyScenario()
+		l, err := anomalyScenario()
 		if err != nil {
 			return nil, err
 		}
-		rl := newRecorderLab(l, anomalySLO())
+		defer l.Close()
+		rl := newRecorderLab(l.Lab, anomalySLO())
 		rl.Mon.AfterSweep = nil // monitor-only
-		wall := runAnomalyTimeline(rl, m, nil)
-		res.SweepWallOff = wall
+		res.SweepWallOff = runAnomalyTimeline(rl, l.M, nil)
 	}
 
 	// The real run: pipeline attached, incident expected.
-	l, m, tid, err := anomalyScenario()
+	l, err := anomalyScenario()
 	if err != nil {
 		return nil, err
 	}
-	rl := newRecorderLab(l, anomalySLO())
-	res.SweepWallOn = runAnomalyTimeline(rl, m, res)
+	defer l.Close()
+	rl := newRecorderLab(l.Lab, anomalySLO())
+	res.SweepWallOn = runAnomalyTimeline(rl, l.M, res)
 
 	res.Events = len(rl.Journal.Since(0, 0))
 	res.Incidents = rl.Pipe.Incidents.List("", 0)
@@ -167,7 +144,6 @@ func RunAnomalyLab() (*AnomalyLabResult, error) {
 		res.DetectionNS = in.DetectionNS
 		res.HogToFirstSeen = time.Duration(in.FirstSeen) - res.HogStart
 	}
-	_ = tid
 	return res, nil
 }
 
@@ -188,7 +164,7 @@ func runAnomalyTimeline(rl *recorderLab, m *machine.Machine, res *AnomalyLabResu
 		}
 	}
 	phase(8)
-	hog := m.AddHog(&machine.Hog{Name: "memvms", Kind: machine.HogMem, MemDemandBps: 23e9, CyclesPerByte: 0.33})
+	hog := m.AddHog(MemHog("memvms", 23e9))
 	if res != nil {
 		res.HogStart = rl.C.Now()
 	}

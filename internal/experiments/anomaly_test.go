@@ -20,6 +20,7 @@ func TestAnomalyLabOneIncident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "anomaly", r)
 	t.Logf("\n%s", r)
 
 	if len(r.Incidents) != 1 {

@@ -3,20 +3,16 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"perfsight/internal/agent"
-	"perfsight/internal/cluster"
 	"perfsight/internal/controller"
 	"perfsight/internal/core"
 	"perfsight/internal/diagnosis"
-	"perfsight/internal/machine"
 	"perfsight/internal/middlebox"
 	"perfsight/internal/sim"
-	"perfsight/internal/stream"
 	"perfsight/internal/wire"
 )
 
@@ -321,7 +317,8 @@ func chaosCrash(f ChaosFault) (ChaosOutcome, error) {
 	if len(f.Agents) != 1 || f.Agents[0] != "m0" {
 		return out, fmt.Errorf("the crash lab's only machine is m0; got agents %v", f.Agents)
 	}
-	l, err := probeLab(4, 2e9, 600e6)
+	membw, _ := FaultByName("membw")
+	l, inject, err := membw.Build(probeTenant)
 	if err != nil {
 		return out, err
 	}
@@ -333,11 +330,7 @@ func chaosCrash(f ChaosFault) (ChaosOutcome, error) {
 	ch.Window(f.At, f.Heal, "crash-m0",
 		func(time.Duration) { gate.down.Store(true) },
 		func(time.Duration) { gate.down.Store(false) })
-
-	l.Run(2 * time.Second)
-	l.C.Machine("m0").AddHog(&machine.Hog{
-		Name: "memhog", Kind: machine.HogMem, MemDemandBps: 26e9, CyclesPerByte: 0.33,
-	})
+	inject()
 	check := func(ok bool, format string, args ...any) {
 		out.Checks = append(out.Checks, fmt.Sprintf(format, args...))
 		if !ok {
@@ -392,23 +385,18 @@ func chaosPartition(f ChaosFault) (ChaosOutcome, error) {
 		}
 	}
 
-	l, err := probeLab(4, 2e9, 600e6) // m0: the memory-bandwidth scenario
+	membw, _ := FaultByName("membw") // m0: the memory-bandwidth scenario
+	l, inject, err := membw.Build(probeTenant)
 	if err != nil {
 		return out, err
 	}
 	defer l.Close()
 	// m1: one lightly loaded sink VM on a second machine of the tenant.
 	l.DefaultMachine("m1")
-	sink := middlebox.NewSink("m1/vmb/app", 2e9)
-	l.C.PlaceVM("m1", "vmb", 1.0, 2e9, sink)
-	hb := l.C.AddHost("hb", 0)
-	conn := l.C.Connect("fb", cluster.HostEndpoint("hb"), cluster.VMEndpoint("m1", "vmb"), stream.Config{})
-	hb.AddSource(conn, 100e6)
+	l.AddSinkFleet("m1", probeTenant, 1, 2e9, 100e6)
 	if err := l.RefreshAgent("m1"); err != nil {
 		return out, err
 	}
-	l.C.AssignStack(probeTenant, "m1")
-	l.C.AssignVM(probeTenant, "m1", "vmb")
 
 	gate := &gatedClient{inner: &controller.LocalClient{A: l.Agents["m1"]}}
 	l.Ctl.RegisterAgent("m1", gate)
@@ -417,11 +405,7 @@ func chaosPartition(f ChaosFault) (ChaosOutcome, error) {
 	ch.Window(f.At, f.Heal, "partition-m1",
 		func(time.Duration) { gate.down.Store(true) },
 		func(time.Duration) { gate.down.Store(false) })
-
-	l.Run(2 * time.Second)
-	l.C.Machine("m0").AddHog(&machine.Hog{
-		Name: "memhog", Kind: machine.HogMem, MemDemandBps: 26e9, CyclesPerByte: 0.33,
-	})
+	inject()
 	check := func(ok bool, format string, args ...any) {
 		out.Checks = append(out.Checks, fmt.Sprintf(format, args...))
 		if !ok {
@@ -479,23 +463,18 @@ func chaosSkew(f ChaosFault) (ChaosOutcome, error) {
 	// The agent's clock is wall time plus a runtime-settable offset; the
 	// chaos fault flips the offset mid-run.
 	var skewNS atomic.Int64
-	a, err := agent.Build(l.C.Machine("m0"), agent.BuildOptions{
+	l.SetAgentOptions(agent.BuildOptions{
 		Clock: func() int64 { return time.Now().UnixNano() + skewNS.Load() },
 	})
+	if err := l.BuildAgents(); err != nil {
+		return out, err
+	}
+	l.Agents["m0"].AllowSpans = true // per-query agent_ts rides the spans session
+	tc, err := l.ServeTCP("m0")
 	if err != nil {
 		return out, err
 	}
-	defer a.Close()
-	a.AllowSpans = true // per-query agent_ts rides the spans session
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return out, err
-	}
-	defer ln.Close()
-	go a.Serve(ln)
-	tc := controller.NewTCPClient(ln.Addr().String())
 	tc.Spans = true
-	defer tc.Close()
 	l.Ctl.RegisterAgent("m0", tc)
 
 	ch := sim.NewChaos(1)

@@ -18,6 +18,7 @@ import (
 // isolated even though every hop's statistics come from a different agent.
 func TestCrossMachineChainRootCause(t *testing.T) {
 	l := NewLab(time.Millisecond)
+	defer l.Close()
 	l.C.RmemPerConn = 212992
 	for i := 0; i < 3; i++ {
 		l.DefaultMachine(core.MachineID(fmt.Sprintf("m%d", i)))
@@ -70,6 +71,7 @@ func TestCrossMachineChainRootCause(t *testing.T) {
 // (minus anything dropped there) — the inter-machine wire loses nothing.
 func TestCrossMachineThroughputConservation(t *testing.T) {
 	l := NewLab(time.Millisecond)
+	defer l.Close()
 	l.DefaultMachine("m0")
 	l.DefaultMachine("m1")
 

@@ -13,6 +13,7 @@ func TestFig3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig3", r)
 	if r.PeakNetGbps < 9 || r.PeakNetGbps > 10.5 {
 		t.Errorf("peak %.2f Gbps; want ~10", r.PeakNetGbps)
 	}
@@ -33,6 +34,7 @@ func TestFig8AllPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig8", r)
 	for _, p := range r.Phases {
 		if !p.OK {
 			t.Errorf("phase %s: observed %s, want %s (inferred %s)",
@@ -58,6 +60,7 @@ func TestFig10BacklogContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig10", r)
 	if !r.Correct() {
 		t.Fatalf("diagnosis wrong: %s", r.Report)
 	}
@@ -73,6 +76,7 @@ func TestFig11MemoryBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig11", r)
 	if !r.Correct() {
 		t.Fatalf("fig11 wrong: %s", r)
 	}
@@ -87,6 +91,7 @@ func TestFig12Propagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig12", r)
 	if !r.AllCorrect() {
 		t.Fatalf("fig12 wrong:\n%s", r)
 	}
@@ -98,6 +103,7 @@ func TestFig13Operator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "fig13", r)
 	if !r.Correct() {
 		t.Fatalf("fig13 wrong:\n%s", r)
 	}
@@ -112,6 +118,7 @@ func TestTable1RuleBook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "table1", r)
 	if !r.AllCorrect() {
 		t.Fatalf("rule book wrong:\n%s", r)
 	}

@@ -18,6 +18,7 @@ import (
 // agent is back.
 func TestAgentDeathSurfacesAsError(t *testing.T) {
 	l := NewLab(time.Millisecond)
+	defer l.Close()
 	l.DefaultMachine("m0")
 	sink := middlebox.NewSink("m0/vm0/app", 1e9)
 	l.C.PlaceVM("m0", "vm0", 1.0, 1e9, sink)
@@ -66,6 +67,7 @@ func TestAgentDeathSurfacesAsError(t *testing.T) {
 // partial results and keep diagnosis usable for the remaining elements.
 func TestTopologyChurnMidQuery(t *testing.T) {
 	l := NewLab(time.Millisecond)
+	defer l.Close()
 	l.DefaultMachine("m0")
 	for _, vm := range []core.VMID{"vm0", "vm1"} {
 		l.C.PlaceVM("m0", vm, 1.0, 1e9, middlebox.NewSink(core.ElementID("m0/"+string(vm)+"/app"), 1e9))
@@ -143,6 +145,7 @@ func TestStalledAgentBoundedSweep(t *testing.T) {
 // arithmetic of Figure 6 depends on it.
 func TestCountersMonotonicUnderLoad(t *testing.T) {
 	l := NewLab(time.Millisecond)
+	defer l.Close()
 	l.DefaultMachine("m0")
 	sink := middlebox.NewSink("m0/vm0/app", 1e9)
 	l.C.PlaceVM("m0", "vm0", 1.0, 1e9, sink)
@@ -190,6 +193,7 @@ func TestCountersMonotonicUnderLoad(t *testing.T) {
 // error, not a crash.
 func TestDiagnosisOnEmptyTenant(t *testing.T) {
 	l := NewLab(time.Millisecond)
+	defer l.Close()
 	l.DefaultMachine("m0")
 	if err := l.BuildAgents(); err != nil {
 		t.Fatal(err)

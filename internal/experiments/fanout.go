@@ -84,6 +84,7 @@ func RunFanout(n int, deadline time.Duration) (*FanoutResult, error) {
 	if err := l.BuildAgents(); err != nil {
 		return nil, err
 	}
+	defer l.Close()
 	for _, mid := range machines {
 		l.C.AssignStack(tid, mid)
 		l.C.AssignVM(tid, mid, "vm0")
@@ -92,25 +93,16 @@ func RunFanout(n int, deadline time.Duration) (*FanoutResult, error) {
 
 	// Serve every healthy agent over real TCP; the client timeout exceeds
 	// the sweep deadline so the sweep context is what bounds a stall.
-	var cleanups []func()
-	defer func() {
-		for _, f := range cleanups {
-			f()
-		}
-	}()
 	for _, mid := range machines {
 		if mid == stallMachine {
 			continue
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		client, err := l.ServeTCP(mid)
 		if err != nil {
 			return nil, err
 		}
-		go l.Agents[mid].Serve(ln)
-		client := controller.NewTCPClient(ln.Addr().String())
 		client.Timeout = 4 * deadline
 		l.Ctl.RegisterAgent(mid, client)
-		cleanups = append(cleanups, func() { client.Close(); ln.Close() })
 	}
 
 	// The stalled machine: a black hole that accepts and reads requests
@@ -120,7 +112,7 @@ func RunFanout(n int, deadline time.Duration) (*FanoutResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cleanups = append(cleanups, func() { sl.Close() })
+	defer sl.Close()
 	go func() {
 		for {
 			conn, err := sl.Accept()
@@ -133,7 +125,7 @@ func RunFanout(n int, deadline time.Duration) (*FanoutResult, error) {
 	stallClient := controller.NewTCPClient(sl.Addr().String())
 	stallClient.Timeout = 4 * deadline
 	l.Ctl.RegisterAgent(stallMachine, stallClient)
-	cleanups = append(cleanups, func() { stallClient.Close() })
+	defer stallClient.Close()
 
 	l.Ctl.Sweep = controller.SweepConfig{
 		Deadline:         deadline,

@@ -5,12 +5,9 @@ import (
 	"strings"
 	"time"
 
-	"perfsight/internal/cluster"
 	"perfsight/internal/core"
 	"perfsight/internal/diagnosis"
 	"perfsight/internal/machine"
-	"perfsight/internal/middlebox"
-	"perfsight/internal/stream"
 )
 
 // Fig10Sample is one timeline point of the backlog-contention experiment.
@@ -63,51 +60,27 @@ func (r *Fig10Result) String() string {
 
 // RunFig10 executes the two-VM contention scenario.
 func RunFig10() (*Fig10Result, error) {
-	l := NewLab(time.Millisecond)
 	cfg := machine.DefaultConfig("m0")
-	cfg.Stack.PNICRxBps = 1e9 // the paper's case 1 uses a 1 Gbps NIC
-	cfg.Stack.PNICTxBps = 1e9
-	cfg.Stack.BacklogQueues = 1 // unpinned interrupts funnel to one core
 	// A small-packet storm defeats the kernel OVS flow cache: per-packet
 	// softirq cost rises toward the upcall path's, so one core cannot
 	// drain the backlog and the queue stays saturated.
 	cfg.Stack.Costs.NAPICyclesPerPkt = 9000
-	l.C.AddMachine(cfg)
 	const tid = core.TenantID("t1")
-
-	// VM1: rate-limited receiver (500 Mbps across four flows).
-	sink := middlebox.NewSink("m0/vm1/app", 1e9)
-	l.C.PlaceVM("m0", "vm1", 1.0, 1e9, sink)
-	src := l.C.AddHost("src", 0)
-	for j := 0; j < 4; j++ {
-		conn := l.C.Connect(flowID(fmt.Sprintf("rx-%d", j)),
-			cluster.HostEndpoint("src"), cluster.VMEndpoint("m0", "vm1"), stream.Config{})
-		src.AddSource(conn, 125e6)
-	}
-
-	// VM2: small-packet flood, initially silent.
-	l.C.AddHost("peer", 0)
 	meter := &flowMeter{}
-	flood := middlebox.NewRawSource("m0/vm2/app", 1e9, "smallpkts", 0, 64, meter)
-	l.C.PlaceVM("m0", "vm2", 1.0, 1e9, flood)
-	l.C.RouteFlow("smallpkts", cluster.VMEndpoint("m0", "vm2"), cluster.HostEndpoint("peer"))
-
-	if err := l.BuildAgents(); err != nil {
+	l, err := NewBacklogFlood(cfg, tid, meter)
+	if err != nil {
 		return nil, err
 	}
-	l.C.AssignStack(tid, "m0")
-	l.C.AssignVM(tid, "m0", "vm1")
-	l.C.AssignVM(tid, "m0", "vm2")
+	defer l.Close()
 
 	res := &Fig10Result{}
 	var prevRx, prevPkts int64
 	var prevDrops uint64
-	m := l.C.Machine("m0")
 	sample := func(step time.Duration) {
 		l.Run(step)
-		rx := sink.ReceivedBytes()
+		rx := l.Sink.ReceivedBytes()
 		pkts := meter.deliveredPkts.Load()
-		drops := m.Stack.Backlogs.TotalDrops()
+		drops := l.M.Stack.Backlogs.TotalDrops()
 		res.Samples = append(res.Samples, Fig10Sample{
 			T:            l.C.Now().Seconds(),
 			Flow1Gbps:    float64(rx-prevRx) * 8 / step.Seconds() / 1e9,
@@ -120,7 +93,7 @@ func RunFig10() (*Fig10Result, error) {
 	for i := 0; i < 20; i++ { // 10 s baseline
 		sample(500 * time.Millisecond)
 	}
-	flood.RateBps = 400e6 // ~780 Kpps of 64 B packets, "as fast as it can"
+	l.StartFlood()
 	for i := 0; i < 4; i++ {
 		sample(500 * time.Millisecond)
 	}
@@ -132,7 +105,7 @@ func RunFig10() (*Fig10Result, error) {
 		return nil, derr
 	}
 	// Resync the per-sample deltas past the diagnosis window.
-	prevRx, prevPkts, prevDrops = sink.ReceivedBytes(), meter.deliveredPkts.Load(), m.Stack.Backlogs.TotalDrops()
+	prevRx, prevPkts, prevDrops = l.Sink.ReceivedBytes(), meter.deliveredPkts.Load(), l.M.Stack.Backlogs.TotalDrops()
 	for i := 0; i < 20; i++ {
 		sample(500 * time.Millisecond)
 	}

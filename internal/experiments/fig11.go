@@ -5,12 +5,9 @@ import (
 	"strings"
 	"time"
 
-	"perfsight/internal/cluster"
 	"perfsight/internal/core"
 	"perfsight/internal/diagnosis"
 	"perfsight/internal/machine"
-	"perfsight/internal/middlebox"
-	"perfsight/internal/stream"
 )
 
 // Fig11Sample is one timeline point of the memory-bandwidth experiment.
@@ -61,33 +58,15 @@ func (r *Fig11Result) String() string {
 
 // RunFig11 executes the oversubscription scenario.
 func RunFig11() (*Fig11Result, error) {
-	l := NewLab(time.Millisecond)
-	m := l.DefaultMachine("m0")
 	const tid = core.TenantID("t-net")
-	const netVMs = 4
-
-	for i := 0; i < netVMs; i++ {
-		vm := core.VMID(fmt.Sprintf("vm%d", i))
-		sink := middlebox.NewSink(core.ElementID(fmt.Sprintf("m0/%s/app", vm)), 2e9)
-		l.C.PlaceVM("m0", vm, 1.0, 2e9, sink)
-		hn := fmt.Sprintf("h%d", i)
-		host := l.C.AddHost(hn, 0)
-		for j := 0; j < 4; j++ {
-			conn := l.C.Connect(flowID(fmt.Sprintf("f%d-%d", i, j)),
-				cluster.HostEndpoint(hn), cluster.VMEndpoint("m0", vm), stream.Config{})
-			host.AddSource(conn, 3.4e9/netVMs/4) // ~3.4 Gbps offered aggregate
-		}
-	}
-	if err := l.BuildAgents(); err != nil {
+	l, err := NewSinkFleet(tid, 4, 2e9, 3.4e9/4) // ~3.4 Gbps offered aggregate
+	if err != nil {
 		return nil, err
 	}
-	l.C.AssignStack(tid, "m0")
-	for i := 0; i < netVMs; i++ {
-		l.C.AssignVM(tid, "m0", core.VMID(fmt.Sprintf("vm%d", i)))
-	}
+	defer l.Close()
 
 	res := &Fig11Result{}
-	pnic := m.Stack.PNic
+	pnic := l.M.Stack.PNic
 	var prevRx uint64
 	sample := func() {
 		l.Run(time.Second)
@@ -103,9 +82,9 @@ func RunFig11() (*Fig11Result, error) {
 		sample()
 	}
 	// Memory-intensive VMs start: their streaming copies get bus priority.
-	m.AddHog(&machine.Hog{Name: "memvms", Kind: machine.HogMem, MemDemandBps: 23e9, CyclesPerByte: 0.33})
+	l.M.AddHog(MemHog("memvms", 23e9))
 
-	dropsBefore := stackDropSnapshot(m)
+	dropsBefore := stackDropSnapshot(l.M)
 	for i := 0; i < 4; i++ {
 		sample()
 	}
@@ -118,7 +97,7 @@ func RunFig11() (*Fig11Result, error) {
 	for i := 0; i < 13; i++ {
 		sample()
 	}
-	dropsAfter := stackDropSnapshot(m)
+	dropsAfter := stackDropSnapshot(l.M)
 
 	total := float64(dropsAfter.total - dropsBefore.total)
 	if total > 0 {

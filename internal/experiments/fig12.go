@@ -3,13 +3,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"perfsight/internal/cluster"
 	"perfsight/internal/core"
 	"perfsight/internal/diagnosis"
-	"perfsight/internal/middlebox"
-	"perfsight/internal/stream"
 )
 
 // Fig12Case identifies one of the three propagation scenarios.
@@ -80,97 +76,31 @@ func (r *Fig12Result) String() string {
 	return b.String()
 }
 
-// fig12Chain holds the deployed scenario.
-type fig12Chain struct {
-	l            *Lab
-	client       *cluster.HostSource
-	servers      [2]*middlebox.Server
-	nfs          *middlebox.Server
-	lb, cf1, cf2 *middlebox.Forwarder
-}
-
 const fig12Tenant = core.TenantID("t-chain")
 
-// buildFig12 deploys client -> LB -> {CF1, CF2} -> {S1, S2}, with both CFs
-// logging to a shared NFS server. All vNICs are 100 Mbps, as in the paper.
-func buildFig12(serverCPB float64, clientRate float64) *fig12Chain {
-	const C = 100e6
-	l := NewLab(time.Millisecond)
-	l.C.RmemPerConn = 212992
-	l.DefaultMachine("m0")
-	ch := &fig12Chain{l: l}
-
-	// Servers.
-	for i := 0; i < 2; i++ {
-		vm := core.VMID(fmt.Sprintf("vm-s%d", i+1))
-		srv := middlebox.NewServer(core.ElementID(fmt.Sprintf("m0/%s/app", vm)), C, serverCPB)
-		l.C.PlaceVM("m0", vm, 1.0, C, srv)
-		ch.servers[i] = srv
-	}
-	// NFS log server.
-	ch.nfs = middlebox.NewNFSServer("m0/vm-nfs/app", C, 40e6)
-	l.C.PlaceVM("m0", "vm-nfs", 1.0, C, ch.nfs)
-
-	// Content filters, each forwarding to its server and logging to NFS.
-	for i := 0; i < 2; i++ {
-		vm := core.VMID(fmt.Sprintf("vm-cf%d", i+1))
-		appID := core.ElementID(fmt.Sprintf("m0/%s/app", vm))
-		toSrv := l.C.Connect(flowID(fmt.Sprintf("cf%d-s", i+1)),
-			cluster.VMEndpoint("m0", vm), cluster.VMEndpoint("m0", core.VMID(fmt.Sprintf("vm-s%d", i+1))), stream.Config{})
-		toNFS := l.C.Connect(flowID(fmt.Sprintf("cf%d-nfs", i+1)),
-			cluster.VMEndpoint("m0", vm), cluster.VMEndpoint("m0", "vm-nfs"), stream.Config{})
-		cf := middlebox.NewContentFilter(appID, C, 0.15, middlebox.ConnOutput{C: toSrv})
-		cf.SetLogOutput(middlebox.ConnOutput{C: toNFS})
-		l.C.PlaceVM("m0", vm, 1.0, C, cf)
-		if i == 0 {
-			ch.cf1 = cf
-		} else {
-			ch.cf2 = cf
+// RunFig12 runs the fault table's three Fig 12 rows through Algorithm 2.
+func RunFig12() (*Fig12Result, error) {
+	res := &Fig12Result{}
+	for _, c := range []Fig12Case{Fig12OverloadedServer, Fig12UnderloadedClient, Fig12ProblematicNFS} {
+		f, _ := FaultByName(string(c))
+		_, rep, err := f.Diagnose(fig12Tenant)
+		if err != nil {
+			return nil, err
 		}
+		res.Cases = append(res.Cases, fig12Case(f, rep))
 	}
-
-	// Load balancer splitting across the content filters.
-	toCF1 := l.C.Connect("lb-cf1", cluster.VMEndpoint("m0", "vm-lb"), cluster.VMEndpoint("m0", "vm-cf1"), stream.Config{})
-	toCF2 := l.C.Connect("lb-cf2", cluster.VMEndpoint("m0", "vm-lb"), cluster.VMEndpoint("m0", "vm-cf2"), stream.Config{})
-	ch.lb = middlebox.NewLoadBalancer("m0/vm-lb/app", C,
-		middlebox.ConnOutput{C: toCF1}, middlebox.ConnOutput{C: toCF2})
-	l.C.PlaceVM("m0", "vm-lb", 1.0, C, ch.lb)
-
-	// Client.
-	client := l.C.AddHost("client", 0)
-	in := l.C.Connect("client-lb", cluster.HostEndpoint("client"), cluster.VMEndpoint("m0", "vm-lb"), stream.Config{})
-	ch.client = client.AddSource(in, clientRate)
-
-	if err := l.BuildAgents(); err != nil {
-		panic(err)
-	}
-	l.C.AssignStack(fig12Tenant, "m0")
-	for _, vm := range []core.VMID{"vm-lb", "vm-cf1", "vm-cf2", "vm-s1", "vm-s2", "vm-nfs"} {
-		l.C.AssignVM(fig12Tenant, "m0", vm)
-	}
-	l.C.AddChain(fig12Tenant, "m0/vm-lb/app", "m0/vm-cf1/app", "m0/vm-s1/app")
-	l.C.AddChain(fig12Tenant, "m0/vm-lb/app", "m0/vm-cf2/app", "m0/vm-s2/app")
-	l.C.AddChain(fig12Tenant, "m0/vm-cf1/app", "m0/vm-nfs/app")
-	l.C.AddChain(fig12Tenant, "m0/vm-cf2/app", "m0/vm-nfs/app")
-	return ch
+	return res, nil
 }
 
-// diagnoseChain runs Algorithm 2 and converts the report to a case result.
-func (ch *fig12Chain) diagnose(c Fig12Case, want []core.ElementID, wantUnderloaded bool) (Fig12CaseResult, error) {
-	rep, err := diagnosis.LocateRootCause(ch.l.Ctl, fig12Tenant, 2*time.Second)
-	if err != nil {
-		return Fig12CaseResult{}, err
-	}
+// fig12Case tabulates Algorithm 2's report and scores it against the
+// row's root causes.
+func fig12Case(f Fault, rep *diagnosis.RootCauseReport) Fig12CaseResult {
 	out := Fig12CaseResult{
-		Case:              c,
+		Case:              Fig12Case(f.Name),
 		RootCauses:        rep.RootCauses,
 		SourceUnderloaded: rep.SourceUnderloaded,
 	}
-	order := []core.ElementID{
-		"m0/vm-lb/app", "m0/vm-cf1/app", "m0/vm-cf2/app",
-		"m0/vm-nfs/app", "m0/vm-s1/app", "m0/vm-s2/app",
-	}
-	for _, id := range order {
+	for _, id := range Fig12Elements {
 		m, ok := rep.Metrics[id]
 		if !ok {
 			continue
@@ -183,12 +113,12 @@ func (ch *fig12Chain) diagnose(c Fig12Case, want []core.ElementID, wantUnderload
 			State:       m.State,
 		})
 	}
-	if wantUnderloaded {
+	if len(f.RootCauses) == 0 {
 		out.OK = rep.SourceUnderloaded
 	} else {
-		out.OK = sameElements(rep.RootCauses, want)
+		out.OK = sameElements(rep.RootCauses, f.RootCauses)
 	}
-	return out, nil
+	return out
 }
 
 func sameElements(got, want []core.ElementID) bool {
@@ -205,49 +135,4 @@ func sameElements(got, want []core.ElementID) bool {
 		}
 	}
 	return true
-}
-
-// RunFig12 executes the three propagation cases.
-func RunFig12() (*Fig12Result, error) {
-	res := &Fig12Result{}
-
-	// (b) Overloaded server: client POSTs as fast as possible; the servers
-	// are expensive per byte and saturate well below the vNIC rate.
-	ch := buildFig12(600, 0)
-	ch.l.Run(4 * time.Second)
-	cr, err := ch.diagnose(Fig12OverloadedServer,
-		[]core.ElementID{"m0/vm-s1/app", "m0/vm-s2/app"}, false)
-	if err != nil {
-		return nil, err
-	}
-	res.Cases = append(res.Cases, cr)
-
-	// (c) Underloaded client: a slow client leaves the whole chain
-	// ReadBlocked.
-	ch = buildFig12(30, 4e6)
-	ch.l.Run(4 * time.Second)
-	cr, err = ch.diagnose(Fig12UnderloadedClient, nil, true)
-	if err != nil {
-		return nil, err
-	}
-	res.Cases = append(res.Cases, cr)
-
-	// (d) Problematic NFS: a memory leak degrades the NFS server; the
-	// content filters WriteBlock on their logs and the stall propagates.
-	ch = buildFig12(30, 70e6)
-	ch.l.Run(3 * time.Second)
-	// The leak must push the NFS server's capacity below the content
-	// filters' aggregate log rate before the chain stalls on it.
-	ch.nfs.InjectLeak(ch.l.C.Now(), 50)
-	// Let the stall propagate: the NFS guest's socket pool must fill
-	// before the content filters' log writes actually block.
-	ch.l.Run(10 * time.Second)
-	cr, err = ch.diagnose(Fig12ProblematicNFS,
-		[]core.ElementID{"m0/vm-nfs/app"}, false)
-	if err != nil {
-		return nil, err
-	}
-	res.Cases = append(res.Cases, cr)
-
-	return res, nil
 }

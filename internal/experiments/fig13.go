@@ -5,12 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"perfsight/internal/cluster"
-	"perfsight/internal/core"
 	"perfsight/internal/diagnosis"
-	"perfsight/internal/machine"
-	"perfsight/internal/middlebox"
-	"perfsight/internal/stream"
 )
 
 // Fig13Sample is one per-second point of the multi-tenant timeline.
@@ -71,95 +66,27 @@ func (r *Fig13Result) String() string {
 
 // RunFig13 executes the operator scenario.
 func RunFig13() (*Fig13Result, error) {
-	l := NewLab(time.Millisecond)
-	l.C.RmemPerConn = 212992
-	shared := machine.DefaultConfig("m-shared")
-	shared.Stack.VNICRing = 256
-	shared.Stack.SocketRxBytes = 512 << 10 // era-appropriate socket pools
-	m := l.C.AddMachine(shared)
-	l.DefaultMachine("m-spare") // target for the scale-out instance
-
-	const (
-		t1 = core.TenantID("tenant1")
-		t2 = core.TenantID("tenant2")
-		// Proxy capacity ~200 Mbps on one vCPU: 2.5e9 cycles/s at ~95
-		// cycles/byte (plus per-packet costs).
-		bottleneckCPB = 88
-		fastCPB       = 10
-	)
-
-	// Tenant 1: client -> proxy1 -> server, offered 180 Mbps.
-	l.C.AddHost("server1", 0)
-	out1 := l.C.Connect("t1-out", cluster.VMEndpoint("m-shared", "vm-p1"), cluster.HostEndpoint("server1"), stream.Config{})
-	p1 := middlebox.NewForwarder("m-shared/vm-p1/app", 1e9,
-		middlebox.ForwardConfig{CyclesPerByte: fastCPB, CyclesPerPacket: 2500}, middlebox.ConnOutput{C: out1})
-	l.C.PlaceVM("m-shared", "vm-p1", 1.0, 1e9, p1)
-	c1 := l.C.AddHost("client1", 0)
-	var t1Srcs []*cluster.HostSource
-	for j := 0; j < 6; j++ {
-		in := l.C.Connect(flowID(fmt.Sprintf("t1-in%d", j)),
-			cluster.HostEndpoint("client1"), cluster.VMEndpoint("m-shared", "vm-p1"), stream.Config{})
-		t1Srcs = append(t1Srcs, c1.AddSource(in, 30e6))
-	}
-
-	// Tenant 2: client -> proxy2 -> server, offered 360 Mbps but the proxy
-	// can only process ~200 Mbps.
-	l.C.AddHost("server2", 0)
-	out2 := l.C.Connect("t2-out", cluster.VMEndpoint("m-shared", "vm-p2"), cluster.HostEndpoint("server2"), stream.Config{})
-	p2 := middlebox.NewForwarder("m-shared/vm-p2/app", 1e9,
-		middlebox.ForwardConfig{CyclesPerByte: bottleneckCPB, CyclesPerPacket: 3000}, middlebox.ConnOutput{C: out2})
-	l.C.PlaceVM("m-shared", "vm-p2", 1.0, 1e9, p2)
-	c2 := l.C.AddHost("client2", 0)
-	var t2Srcs []*cluster.HostSource
-	for j := 0; j < 8; j++ {
-		in := l.C.Connect(flowID(fmt.Sprintf("t2-in%d", j)),
-			cluster.HostEndpoint("client2"), cluster.VMEndpoint("m-shared", "vm-p2"), stream.Config{})
-		t2Srcs = append(t2Srcs, c2.AddSource(in, 45e6))
-	}
-
-	if err := l.BuildAgents(); err != nil {
+	l, err := NewFig13()
+	if err != nil {
 		return nil, err
 	}
-	// The cloud operator's view spans every VM on the shared machine; the
-	// per-tenant views cover each tenant's own virtual network.
-	const op = core.TenantID("operator")
-	for _, tid := range []core.TenantID{t1, t2, op} {
-		l.C.AssignStack(tid, "m-shared")
-	}
-	l.C.AssignVM(t1, "m-shared", "vm-p1")
-	l.C.AssignVM(t2, "m-shared", "vm-p2")
-	l.C.AssignVM(op, "m-shared", "vm-p1")
-	l.C.AssignVM(op, "m-shared", "vm-p2")
-	l.C.AddChain(t1, "m-shared/vm-p1/app")
-	l.C.AddChain(t2, "m-shared/vm-p2/app")
+	defer l.Close()
 
 	res := &Fig13Result{}
-	var out2b *stream.Conn
-	var prev1, prev2, prev2b int64
+	var prev1, prev2 int64
 	sample := func() {
 		l.Run(time.Second)
-		d1 := out1.DeliveredBytes()
-		d2 := out2.DeliveredBytes()
-		var d2b int64
-		if out2b != nil {
-			d2b = out2b.DeliveredBytes()
-		}
+		d1, d2 := l.Delivered()
 		res.Samples = append(res.Samples, Fig13Sample{
 			T:           l.C.Now().Seconds(),
 			Tenant1Mbps: float64(d1-prev1) * 8 / 1e6,
-			Tenant2Mbps: float64(d2-prev2+d2b-prev2b) * 8 / 1e6,
+			Tenant2Mbps: float64(d2-prev2) * 8 / 1e6,
 		})
-		prev1, prev2, prev2b = d1, d2, d2b
+		prev1, prev2 = d1, d2
 	}
 	// resync skips the bytes delivered during a diagnosis window (which
 	// advances virtual time) so the next sample stays a 1-second delta.
-	resync := func() {
-		prev1 = out1.DeliveredBytes()
-		prev2 = out2.DeliveredBytes()
-		if out2b != nil {
-			prev2b = out2b.DeliveredBytes()
-		}
-	}
+	resync := func() { prev1, prev2 = l.Delivered() }
 	avg2 := func(from, to float64) float64 {
 		var s float64
 		n := 0
@@ -183,7 +110,7 @@ func RunFig13() (*Fig13Result, error) {
 	for i := 0; i < 3; i++ {
 		sample()
 	}
-	rc, err := diagnosis.LocateRootCause(l.Ctl, t2, 3*time.Second)
+	rc, err := diagnosis.LocateRootCause(l.Ctl, Fig13Tenant2, 3*time.Second)
 	if err != nil {
 		return nil, err
 	}
@@ -199,11 +126,11 @@ func RunFig13() (*Fig13Result, error) {
 	res.Phases = append(res.Phases, Fig13Phase{Name: "bottleneck", Note: note})
 
 	// Phase 2 (10-20 s): memory-intensive management task on the host.
-	hog := m.AddHog(&machine.Hog{Name: "mgmt", Kind: machine.HogMem, MemDemandBps: 26e9, CyclesPerByte: 0.33})
+	hog := l.M.AddHog(MemHog("mgmt", 26e9))
 	for i := 0; i < 3; i++ {
 		sample()
 	}
-	rep, err := diagnosis.FindContentionAndBottleneck(l.Ctl, op, 3*time.Second)
+	rep, err := diagnosis.FindContentionAndBottleneck(l.Ctl, Fig13Operator, 3*time.Second)
 	if err != nil {
 		return nil, err
 	}
@@ -217,24 +144,15 @@ func RunFig13() (*Fig13Result, error) {
 	})
 
 	// Phase 3 (20-30 s): the operator migrates the management task away.
-	m.RemoveHog(hog)
+	l.M.RemoveHog(hog)
 	for i := 0; i < 10; i++ {
 		sample()
 	}
 
 	// Phase 4 (30-40 s): scale out tenant 2's proxy and reroute half of
 	// its flows to the new instance on the spare machine.
-	out2b = l.C.Connect("t2b-out", cluster.VMEndpoint("m-spare", "vm-p2b"), cluster.HostEndpoint("server2"), stream.Config{})
-	p2b := middlebox.NewForwarder("m-spare/vm-p2b/app", 1e9,
-		middlebox.ForwardConfig{CyclesPerByte: bottleneckCPB, CyclesPerPacket: 3000}, middlebox.ConnOutput{C: out2b})
-	l.C.PlaceVM("m-spare", "vm-p2b", 1.0, 1e9, p2b)
-	if err := l.RefreshAgent("m-spare"); err != nil {
+	if err := l.ScaleOut(); err != nil {
 		return nil, err
-	}
-	l.C.AssignVM(t2, "m-spare", "vm-p2b")
-	for j := 4; j < 8; j++ {
-		l.C.RerouteFlow(flowID(fmt.Sprintf("t2-in%d", j)),
-			cluster.HostEndpoint("client2"), cluster.VMEndpoint("m-spare", "vm-p2b"))
 	}
 	for i := 0; i < 10; i++ {
 		sample()

@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
-	"perfsight/internal/controller"
 	"perfsight/internal/middlebox"
 	"perfsight/internal/wire"
 )
@@ -69,16 +67,10 @@ func RunFig16(freqs []float64, window time.Duration) (*Fig16Result, error) {
 		return nil, err
 	}
 	defer l.Close()
-	a := l.Agents["m0"]
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	client, err := l.ServeTCP("m0")
 	if err != nil {
 		return nil, err
 	}
-	defer ln.Close()
-	go a.Serve(ln)
-	client := controller.NewTCPClient(ln.Addr().String())
-	defer client.Close()
 
 	res := &Fig16Result{}
 	for _, f := range freqs {

@@ -70,6 +70,7 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 		cfg.FlowsPerVM = 1
 	}
 	l := NewLab(cfg.Tick)
+	defer l.Close()
 	m := l.DefaultMachine("m0")
 	l.C.AddHost("peer", 0)
 

@@ -95,6 +95,9 @@ func DefaultFig8Config() Fig8Config {
 	}
 }
 
+// thinLB is the Fig 8 middlebox: a load balancer that forwards cheaply.
+var thinLB = middlebox.ForwardConfig{CyclesPerByte: 8, CyclesPerPacket: 2000}
+
 // RunFig8 executes the functional-validation timeline.
 func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 	l := NewLab(cfg.Tick)
@@ -107,32 +110,16 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 	// Two middlebox VMs running load balancers, each fed by a handful of
 	// long-lived client connections (the aggregate in-flight of several
 	// flows is what keeps the TUN loaded, as on the paper's testbed).
-	const flowsPerMbox = 10
-	type chain struct {
-		out *stream.Conn
-	}
-	var chains []chain
+	// Offered load matches the paper's ~420 Mbps per-middlebox scale, well
+	// below the thin LB's capacity: the healthy baseline is clean, and
+	// faults push the stack below the offered load.
+	var outs []*stream.Conn
 	for i := 0; i < 2; i++ {
-		vm := core.VMID(fmt.Sprintf("vm-mb%d", i))
-		appID := core.ElementID(fmt.Sprintf("m0/%s/app", vm))
-		client := l.C.AddHost(fmt.Sprintf("client%d", i), 0)
-		l.C.AddHost(fmt.Sprintf("server%d", i), 0)
-		out := l.C.Connect(flowID(fmt.Sprintf("mb%d-out", i)),
-			cluster.VMEndpoint("m0", vm), cluster.HostEndpoint(fmt.Sprintf("server%d", i)), stream.Config{})
-		// Balance is a thin proxy: the LB itself has ample headroom, so
-		// the baseline is limited by the offered load, not the app.
-		lb := middlebox.NewForwarder(appID, 1e9,
-			middlebox.ForwardConfig{CyclesPerByte: 8, CyclesPerPacket: 2000}, middlebox.ConnOutput{C: out})
-		l.C.PlaceVM("m0", vm, 1.0, 1e9, lb)
-		for j := 0; j < flowsPerMbox; j++ {
-			in := l.C.Connect(flowID(fmt.Sprintf("mb%d-in%d", i, j)),
-				cluster.HostEndpoint(fmt.Sprintf("client%d", i)), cluster.VMEndpoint("m0", vm), stream.Config{})
-			// Offered load matches the paper's ~420 Mbps per-middlebox
-			// scale, well below the LB's capacity: the healthy baseline is
-			// clean, and faults push the stack below the offered load.
-			client.AddSource(in, 42e6)
-		}
-		chains = append(chains, chain{out: out})
+		outs = append(outs, l.AddProxyVM(ProxyVM{
+			Machine: "m0", VM: core.VMID(fmt.Sprintf("vm-mb%d", i)),
+			Flows: fmt.Sprintf("mb%d", i), Hosts: fmt.Sprint(i),
+			Cost: thinLB, Inflows: 10, RateBps: 42e6,
+		}))
 	}
 
 	// Tenant VMs: sinks plus (initially silent) flood sources.
@@ -153,6 +140,7 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 	if err := l.BuildAgents(); err != nil {
 		return nil, err
 	}
+	defer l.Close()
 	l.C.AssignStack(tid, "m0")
 	for _, vm := range m.VMs() {
 		l.C.AssignVM(tid, "m0", vm)
@@ -193,8 +181,8 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 	sampleSecond := func() {
 		l.Run(time.Second)
 		var delivered int64
-		for _, ch := range chains {
-			delivered += ch.out.DeliveredBytes()
+		for _, out := range outs {
+			delivered += out.DeliveredBytes()
 		}
 		curPNIC := pnic.ES.Drop.Packets.Load()
 		curBacklog := m.Stack.Backlogs.TotalDrops()

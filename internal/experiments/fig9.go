@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"time"
 
 	"perfsight/internal/agent"
-	"perfsight/internal/controller"
 	"perfsight/internal/core"
 	"perfsight/internal/middlebox"
 )
@@ -113,14 +111,10 @@ func RunFig9(rounds int) (*Fig9Result, error) {
 	}
 
 	// Agent-controller over real TCP on loopback.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	client, err := l.ServeTCP("m0")
 	if err != nil {
 		return nil, err
 	}
-	defer ln.Close()
-	go a.Serve(ln)
-	client := controller.NewTCPClient(ln.Addr().String())
-	defer client.Close()
 	var samples []time.Duration
 	for i := 0; i < rounds; i++ {
 		d, err := client.Ping()

@@ -8,14 +8,10 @@ import (
 	"time"
 
 	"perfsight/internal/anomaly"
-	"perfsight/internal/cluster"
 	"perfsight/internal/controller"
 	"perfsight/internal/core"
 	"perfsight/internal/diagnosis"
 	"perfsight/internal/history"
-	"perfsight/internal/machine"
-	"perfsight/internal/middlebox"
-	"perfsight/internal/stream"
 	"perfsight/internal/wire"
 )
 
@@ -168,27 +164,13 @@ func RunHistoryReplay() (*HistoryReplayResult, error) {
 	res := &HistoryReplayResult{}
 
 	// --- Algorithm 1: the Fig 11 memory-bandwidth scenario. ---
-	l := NewLab(time.Millisecond)
-	m := l.DefaultMachine("m0")
 	const tid = core.TenantID("t-replay")
-	for i := 0; i < 4; i++ {
-		vm := core.VMID(fmt.Sprintf("vm%d", i))
-		sink := middlebox.NewSink(core.ElementID(fmt.Sprintf("m0/%s/app", vm)), 2e9)
-		l.C.PlaceVM("m0", vm, 1.0, 2e9, sink)
-		hn := fmt.Sprintf("h%d", i)
-		host := l.C.AddHost(hn, 0)
-		for j := 0; j < 4; j++ {
-			conn := l.C.Connect(flowID(fmt.Sprintf("f%d-%d", i, j)),
-				cluster.HostEndpoint(hn), cluster.VMEndpoint("m0", vm), stream.Config{})
-			host.AddSource(conn, 3.4e9/16)
-		}
-		l.C.AssignVM(tid, "m0", vm)
-	}
-	l.C.AssignStack(tid, "m0")
-	if err := l.BuildAgents(); err != nil {
+	l, err := NewSinkFleet(tid, 4, 2e9, 3.4e9/4)
+	if err != nil {
 		return nil, err
 	}
-	rl := newRecorderLab(l, anomaly.Config{SLO: anomaly.SLOConfig{Default: anomaly.SLO{
+	defer l.Close()
+	rl := newRecorderLab(l.Lab, anomaly.Config{SLO: anomaly.SLOConfig{Default: anomaly.SLO{
 		DropRatePPS:      100,
 		Window:           anomaly.Duration(3 * time.Second),
 		Cooldown:         anomaly.Duration(time.Minute),
@@ -196,7 +178,7 @@ func RunHistoryReplay() (*HistoryReplayResult, error) {
 	}}})
 
 	rl.monitorFor(5*time.Second, time.Second) // healthy baseline on record
-	m.AddHog(&machine.Hog{Name: "memvms", Kind: machine.HogMem, MemDemandBps: 23e9, CyclesPerByte: 0.33})
+	l.M.AddHog(MemHog("memvms", 23e9))
 	rl.monitorFor(5*time.Second, time.Second) // contention on record; watcher fires
 
 	const window = 3 * time.Second
@@ -224,29 +206,11 @@ func RunHistoryReplay() (*HistoryReplayResult, error) {
 	res.Events = rl.Journal.Since(0, 0)
 
 	// --- Algorithm 2: the Fig 12 chain-propagation scenario. ---
-	cl := NewLab(time.Millisecond)
-	cl.C.RmemPerConn = 212992
-	cl.DefaultMachine("m0")
-	const C = 100e6
-	server := middlebox.NewServer("m0/vm-srv/app", C, 600)
-	cl.C.PlaceVM("m0", "vm-srv", 1.0, C, server)
-	toSrv := cl.C.Connect("px-srv", cluster.VMEndpoint("m0", "vm-px"), cluster.VMEndpoint("m0", "vm-srv"), stream.Config{})
-	proxy := middlebox.NewProxy("m0/vm-px/app", C, middlebox.ConnOutput{C: toSrv})
-	cl.C.PlaceVM("m0", "vm-px", 1.0, C, proxy)
-	toPx := cl.C.Connect("lb-px", cluster.VMEndpoint("m0", "vm-lb"), cluster.VMEndpoint("m0", "vm-px"), stream.Config{})
-	lb := middlebox.NewLoadBalancer("m0/vm-lb/app", C, middlebox.ConnOutput{C: toPx})
-	cl.C.PlaceVM("m0", "vm-lb", 1.0, C, lb)
-	client := cl.C.AddHost("client", 0)
-	in := cl.C.Connect("cl-lb", cluster.HostEndpoint("client"), cluster.VMEndpoint("m0", "vm-lb"), stream.Config{})
-	client.AddSource(in, 0)
-	cl.C.AssignStack(tid, "m0")
-	for _, vm := range []core.VMID{"vm-lb", "vm-px", "vm-srv"} {
-		cl.C.AssignVM(tid, "m0", vm)
-	}
-	cl.C.AddChain(tid, "m0/vm-lb/app", "m0/vm-px/app", "m0/vm-srv/app")
-	if err := cl.BuildAgents(); err != nil {
+	cl, err := NewChain3(tid)
+	if err != nil {
 		return nil, err
 	}
+	defer cl.Close()
 	crl := newRecorderLab(cl, anomaly.Config{SLO: anomaly.SLOConfig{Default: anomaly.SLO{DisableBaselines: true}}})
 	crl.monitorFor(3*time.Second, time.Second)
 

@@ -14,6 +14,7 @@ func TestHistoryReplayMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "history", r)
 	t.Logf("\n%s", r)
 	if r.StackQueriesLive == 0 {
 		t.Error("live stack diagnosis issued no agent queries — counter not wired")

@@ -20,6 +20,7 @@ import (
 // the rule book blame memory bandwidth.
 func TestDiagnoseMemoryBandwidthContention(t *testing.T) {
 	l := NewLab(time.Millisecond)
+	defer l.Close()
 	m := l.DefaultMachine("m0")
 	const tid = core.TenantID("t1")
 
@@ -69,6 +70,7 @@ func TestDiagnoseMemoryBandwidthContention(t *testing.T) {
 // reported as a bottleneck at its own TUN (Table 1 last row).
 func TestDiagnoseVMBottleneck(t *testing.T) {
 	l := NewLab(time.Millisecond)
+	defer l.Close()
 	l.DefaultMachine("m0")
 	const tid = core.TenantID("t1")
 
@@ -116,6 +118,7 @@ func TestDiagnoseVMBottleneck(t *testing.T) {
 // states propagate upstream and pruning isolates the server.
 func TestDiagnoseChainRootCause(t *testing.T) {
 	l := NewLab(time.Millisecond)
+	defer l.Close()
 	l.DefaultMachine("m0")
 	const tid = core.TenantID("t1")
 	const C = 100e6 // vNIC capacity, as in Fig 12

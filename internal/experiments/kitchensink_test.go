@@ -18,6 +18,7 @@ import (
 // 10%, the cache absorbs 30% of what remains, the RE halves the rest.
 func TestFullServiceChain(t *testing.T) {
 	l := NewLab(time.Millisecond)
+	defer l.Close()
 	l.DefaultMachine("m0")
 	const tid = core.TenantID("t1")
 	const C = 1e9

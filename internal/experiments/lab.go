@@ -7,6 +7,8 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"sync/atomic"
 	"time"
 
@@ -26,6 +28,8 @@ type Lab struct {
 	Agents map[core.MachineID]*agent.Agent
 
 	agentOpts agent.BuildOptions
+	fleetVMs  int         // sink-fleet VMs placed so far (AddSinkFleet numbering)
+	served    []io.Closer // ServeTCP listeners and clients
 }
 
 // NewLab builds an empty lab with the given tick.
@@ -78,9 +82,37 @@ func (l *Lab) RefreshAgent(mid core.MachineID) error {
 	return nil
 }
 
-// Close releases the log files and channel connections the lab's agents
-// keep, and stops the cluster's worker pool if it has one.
+// finish ends a scenario builder: every machine gets its agent, or the
+// lab is closed and the caller returns the error.
+func (l *Lab) finish() error {
+	err := l.BuildAgents()
+	if err != nil {
+		l.Close()
+	}
+	return err
+}
+
+// ServeTCP serves mid's agent on a loopback listener and returns a client
+// for it; both live until Close. The caller registers the client with the
+// controller if sweeps should travel the wire.
+func (l *Lab) ServeTCP(mid core.MachineID) (*controller.TCPClient, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	go l.Agents[mid].Serve(ln)
+	client := controller.NewTCPClient(ln.Addr().String())
+	l.served = append(l.served, client, ln)
+	return client, nil
+}
+
+// Close ends the lab: ServeTCP's clients and listeners shut, the agents
+// release their log files, channel connections and the log directories
+// Build made for them, and the cluster's worker pool, if any, stops.
 func (l *Lab) Close() {
+	for _, c := range l.served {
+		c.Close()
+	}
 	for _, a := range l.Agents {
 		a.Close()
 	}

@@ -15,6 +15,7 @@ func TestRunMboxKinds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunMboxKinds: %v", err)
 	}
+	checkGolden(t, "mboxkinds", res)
 	t.Logf("\n%s", res)
 	if res.IDSTopLocation != diagnosis.LocMiddlebox {
 		t.Errorf("IDS loss located at %s; want %s", res.IDSTopLocation, diagnosis.LocMiddlebox)

@@ -19,6 +19,7 @@ import (
 // and the advisor must tell the operator to migrate the interference.
 func TestOperatorWorkflowEndToEnd(t *testing.T) {
 	l := NewLab(time.Millisecond)
+	defer l.Close()
 	m := l.DefaultMachine("m0")
 
 	tenants := []core.TenantID{"alpha", "beta"}
@@ -81,6 +82,7 @@ func TestOperatorWorkflowEndToEnd(t *testing.T) {
 // whose proxy saturates must yield a tenant-owned scale-out recommendation.
 func TestOperatorScaleOutAdvice(t *testing.T) {
 	l := NewLab(time.Millisecond)
+	defer l.Close()
 	l.DefaultMachine("m0")
 	const tid = core.TenantID("t1")
 	const C = 100e6

@@ -69,6 +69,7 @@ func (r *Table2Result) String() string {
 // the proxy's I/O time counters; run varies the client jitter seed.
 func proxyRun(mb middlebox.MboxKind, blocked, timers bool, run int) float64 {
 	l := NewLab(time.Millisecond)
+	defer l.Close()
 	l.DefaultMachine("m0")
 	l.C.AddHost("server", 0)
 	out := l.C.Connect("p-out", cluster.VMEndpoint("m0", "vm-p"), cluster.HostEndpoint("server"), stream.Config{})

@@ -21,6 +21,7 @@ import (
 func TestTranscoderUtilizationMisleads(t *testing.T) {
 	run := func(offeredBps float64) (*diagnosis.ContentionReport, *diagnosis.RootCauseReport, float64) {
 		l := NewLab(time.Millisecond)
+		defer l.Close()
 		l.DefaultMachine("m0")
 		const tid = core.TenantID("t1")
 		const C = 200e6
