@@ -82,9 +82,14 @@ type Cluster struct {
 	hosts        map[string]*Host
 	hostOrder    []string
 	routes       map[dataplane.FlowID]route
-	pending      map[core.MachineID][]dataplane.Batch
 	registries   map[core.MachineID]*stats.Registry
 	topo         *core.Topology
+
+	// The wire exchange is double-buffered: the machine phase reads the
+	// arrivals in pending, which the previous commit finished, while commit
+	// routes this tick's departures into next and then swaps the two. Both
+	// maps keep their slices, truncated, from tick to tick.
+	pending, next map[core.MachineID][]dataplane.Batch
 
 	// Two-phase tick state. conns/windows are everything the commit phase
 	// must settle serially; pre/post run outside the parallel phases in
@@ -112,6 +117,7 @@ func New(dt time.Duration) *Cluster {
 		hosts:      make(map[string]*Host),
 		routes:     make(map[dataplane.FlowID]route),
 		pending:    make(map[core.MachineID][]dataplane.Batch),
+		next:       make(map[core.MachineID][]dataplane.Batch),
 		registries: make(map[core.MachineID]*stats.Registry),
 		topo:       core.NewTopology(),
 	}
@@ -580,7 +586,10 @@ func (c *Cluster) machineRange(from, to int, now, dt time.Duration) {
 // in canonical order, refresh receive-window caches from settled socket
 // state, then run post tickers.
 func (c *Cluster) commit(now, dt time.Duration) {
-	next := make(map[core.MachineID][]dataplane.Batch, len(c.machines))
+	next := c.next
+	for mid, arr := range next {
+		next[mid] = arr[:0]
+	}
 	for _, hn := range c.hostOrder {
 		for _, b := range c.hosts[hn].drainOut() {
 			c.routeBatch(b, next, dt)
@@ -592,7 +601,7 @@ func (c *Cluster) commit(now, dt time.Duration) {
 		}
 	}
 	c.trimFabric(next, dt)
-	c.pending = next
+	c.pending, c.next = next, c.pending
 	for _, cn := range c.conns {
 		cn.FlushFeedback()
 	}

@@ -22,12 +22,15 @@ type Host struct {
 	LinkBps float64
 
 	mu        sync.Mutex
-	outQ      []dataplane.Batch
 	tickSent  int64
 	tickCap   int64
 	inboxCap  int64
 	rxBytes   int64
 	rxPackets int64
+
+	// Emissions are double-buffered: commit ranges over what drainOut
+	// returned while the feedback it settles may already emit into outQ.
+	outQ, drained []dataplane.Batch
 
 	pump    []*stream.Conn
 	sources []*HostSource
@@ -43,9 +46,7 @@ func (h *Host) emit(b dataplane.Batch) int64 {
 			return 0
 		}
 		if b.Bytes > free {
-			var over dataplane.Batch
-			b, over = b.SplitBytes(free)
-			_ = over // stays in the conn's send buffer
+			b, _ = b.SplitBytes(free) // the rest stays in the conn's send buffer
 		}
 	}
 	h.tickSent += b.Bytes
@@ -116,13 +117,13 @@ func (h *Host) tick(now, dt time.Duration) {
 	}
 }
 
-// drainOut collects this tick's wire emissions.
+// drainOut collects this tick's wire emissions; the result is valid until
+// the next drainOut.
 func (h *Host) drainOut() []dataplane.Batch {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := h.outQ
-	h.outQ = nil
-	return out
+	h.outQ, h.drained = h.drained[:0], h.outQ
+	return h.drained
 }
 
 // HostSource writes application data into a host-side connection — the

@@ -14,6 +14,12 @@ func NewCycleBudget(cycles float64) *CycleBudget {
 	return &CycleBudget{Cycles: cycles}
 }
 
+// Reset makes b a fresh grant of the given cycles, nothing spent: whoever
+// ticks a consumer holds its budget by value and resets it each tick.
+func (b *CycleBudget) Reset(cycles float64) {
+	*b = CycleBudget{Cycles: cycles}
+}
+
 // PacketsFor returns how many packets the remaining cycles can process at
 // costPerPacket cycles each.
 func (b *CycleBudget) PacketsFor(costPerPacket float64) int {
@@ -108,6 +114,13 @@ func NewMembusBudget(bytes int64) *MembusBudget {
 // Child returns a capped budget drawing from m as the shared pool.
 func (m *MembusBudget) Child(capBytes int64) *MembusBudget {
 	return &MembusBudget{Bytes: capBytes, parent: m}
+}
+
+// Reset makes m a fresh grant of the given bus bytes, nothing spent, that
+// also draws from pool (nil for none): the in-place form of NewMembusBudget
+// and Child.
+func (m *MembusBudget) Reset(bytes int64, pool *MembusBudget) {
+	*m = MembusBudget{Bytes: bytes, parent: pool}
 }
 
 // WireBytesFor returns how many wire bytes can be copied given factor bus

@@ -13,14 +13,21 @@ import "sync/atomic"
 // producer, e.g. QEMU writing to a full vNIC ring). Drops are accounted by
 // the owning element, not the buffer, because attribution — *which* element
 // dropped — is exactly the signal Algorithm 1 diagnoses on.
+//
+// The queue has a single writer (the machine tick loop that owns it) and
+// allocates only while it grows toward its working size: batches live in
+// one ring that is kept when the buffer empties, and Dequeue fills a slice
+// the buffer owns. Only the occupancy gauges may be read from other
+// goroutines (agent snapshots), so they are atomics.
 type Buffer struct {
 	capPackets int
 	capBytes   int64
 
-	// The queue itself has a single writer (the machine tick loop), but
-	// the occupancy gauges are read concurrently by agent snapshots, so
-	// they are atomics.
-	q       []Batch
+	// ring[(head+i)&(len(ring)-1)] for i < n are the queued batches, oldest
+	// first; len(ring) is zero or a power of two.
+	ring    []Batch
+	head, n int
+	out     []Batch // the last Dequeue's result
 	packets atomic.Int64
 	bytes   atomic.Int64
 }
@@ -89,21 +96,31 @@ func (b *Buffer) push(batch Batch) {
 	if batch.Empty() {
 		return
 	}
+	b.packets.Add(int64(batch.Packets))
+	b.bytes.Add(batch.Bytes)
 	// Coalesce with the tail when it is the same flow and destination, to
 	// keep queues short under fluid traffic.
-	if n := len(b.q); n > 0 {
-		t := &b.q[n-1]
+	if b.n > 0 {
+		t := &b.ring[(b.head+b.n-1)&(len(b.ring)-1)]
 		if t.Flow == batch.Flow && t.DstVM == batch.DstVM && t.FB == batch.FB && t.Egress == batch.Egress {
 			t.Packets += batch.Packets
 			t.Bytes += batch.Bytes
-			b.packets.Add(int64(batch.Packets))
-			b.bytes.Add(batch.Bytes)
 			return
 		}
 	}
-	b.q = append(b.q, batch)
-	b.packets.Add(int64(batch.Packets))
-	b.bytes.Add(batch.Bytes)
+	if b.n == len(b.ring) {
+		b.grow()
+	}
+	b.ring[(b.head+b.n)&(len(b.ring)-1)] = batch
+	b.n++
+}
+
+// grow doubles the ring, unwrapping the queue to its start.
+func (b *Buffer) grow() {
+	ring := make([]Batch, max(4, 2*len(b.ring)))
+	k := copy(ring, b.ring[b.head:])
+	copy(ring[k:], b.ring[:b.head])
+	b.ring, b.head = ring, 0
 }
 
 // merge combines two (possibly empty) overflow fragments of the same batch.
@@ -122,14 +139,19 @@ func merge(a, b Batch) Batch {
 // Dequeue removes and returns up to maxPackets packets and maxBytes bytes,
 // preserving FIFO order. Negative bounds mean "no limit in that dimension".
 // A head batch is split if only part of it fits within the bounds.
+//
+// The result is the buffer's own scratch: it is valid until the next
+// Dequeue on this buffer (Enqueue here, and anything on another buffer,
+// leave it alone), so range over it and forward — copy what must outlive
+// that.
 func (b *Buffer) Dequeue(maxPackets int, maxBytes int64) []Batch {
 	if maxPackets == 0 || maxBytes == 0 || b.packets.Load() == 0 {
 		return nil
 	}
-	var out []Batch
-	for len(b.q) > 0 {
-		head := b.q[0]
-		take := head
+	out := b.out[:0]
+	for b.n > 0 {
+		head := &b.ring[b.head]
+		take := *head
 		if maxPackets >= 0 && take.Packets > maxPackets {
 			take, _ = take.SplitPackets(maxPackets)
 		}
@@ -140,10 +162,10 @@ func (b *Buffer) Dequeue(maxPackets int, maxBytes int64) []Batch {
 			break
 		}
 		if take.Packets == head.Packets {
-			b.q = b.q[1:]
+			b.head = (b.head + 1) & (len(b.ring) - 1)
+			b.n--
 		} else {
-			_, rest := head.SplitPackets(take.Packets)
-			b.q[0] = rest
+			_, *head = head.SplitPackets(take.Packets)
 		}
 		b.packets.Add(int64(-take.Packets))
 		b.bytes.Add(-take.Bytes)
@@ -161,25 +183,14 @@ func (b *Buffer) Dequeue(maxPackets int, maxBytes int64) []Batch {
 			}
 		}
 	}
-	if len(b.q) == 0 {
-		b.q = nil // release backing array
-	}
+	b.out = out
 	return out
 }
 
 // Peek returns the head batch without removing it.
 func (b *Buffer) Peek() (Batch, bool) {
-	if len(b.q) == 0 {
+	if b.n == 0 {
 		return Batch{}, false
 	}
-	return b.q[0], true
-}
-
-// DrainAll removes and returns everything in the buffer.
-func (b *Buffer) DrainAll() []Batch {
-	out := b.q
-	b.q = nil
-	b.packets.Store(0)
-	b.bytes.Store(0)
-	return out
+	return b.ring[b.head], true
 }

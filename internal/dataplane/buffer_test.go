@@ -1,8 +1,12 @@
 package dataplane
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"perfsight/internal/core"
 )
 
 func TestBatchSplitPacketsConserves(t *testing.T) {
@@ -124,7 +128,7 @@ func TestBufferPeekAndDrain(t *testing.T) {
 	if !ok || head.Flow != "x" || b.Len() != 2 {
 		t.Fatal("peek must not consume")
 	}
-	all := b.DrainAll()
+	all := b.Dequeue(-1, -1)
 	if SumPackets(all) != 2 || !b.Empty() {
 		t.Fatal("drain incomplete")
 	}
@@ -189,6 +193,214 @@ func TestBufferConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sliceBuffer is the slice-walking Buffer this package used before the ring
+// (append to grow, q[1:] to pop, a fresh result per Dequeue), kept as the
+// reference model the ring is checked against.
+type sliceBuffer struct {
+	capPackets int
+	capBytes   int64
+	q          []Batch
+	packets    int
+	bytes      int64
+}
+
+func (b *sliceBuffer) freePackets() int {
+	if b.capPackets == 0 {
+		return int(^uint(0) >> 1)
+	}
+	return max(b.capPackets-b.packets, 0)
+}
+
+func (b *sliceBuffer) freeBytes() int64 {
+	if b.capBytes == 0 {
+		return int64(^uint64(0) >> 1)
+	}
+	return max(b.capBytes-b.bytes, 0)
+}
+
+func (b *sliceBuffer) enqueue(batch Batch) (overflow Batch) {
+	if batch.Empty() {
+		return Batch{}
+	}
+	fit := batch
+	if free := b.freePackets(); fit.Packets > free {
+		fit, overflow = fit.SplitPackets(free)
+	}
+	if free := b.freeBytes(); fit.Bytes > free {
+		var over2 Batch
+		fit, over2 = fit.SplitBytes(free)
+		overflow = merge(over2, overflow)
+	}
+	if fit.Empty() {
+		return overflow
+	}
+	b.packets += fit.Packets
+	b.bytes += fit.Bytes
+	if n := len(b.q); n > 0 {
+		t := &b.q[n-1]
+		if t.Flow == fit.Flow && t.DstVM == fit.DstVM && t.FB == fit.FB && t.Egress == fit.Egress {
+			t.Packets += fit.Packets
+			t.Bytes += fit.Bytes
+			return overflow
+		}
+	}
+	b.q = append(b.q, fit)
+	return overflow
+}
+
+func (b *sliceBuffer) dequeue(maxPackets int, maxBytes int64) []Batch {
+	if maxPackets == 0 || maxBytes == 0 || b.packets == 0 {
+		return nil
+	}
+	var out []Batch
+	for len(b.q) > 0 {
+		head := b.q[0]
+		take := head
+		if maxPackets >= 0 && take.Packets > maxPackets {
+			take, _ = take.SplitPackets(maxPackets)
+		}
+		if maxBytes >= 0 && take.Bytes > maxBytes {
+			take, _ = take.SplitBytes(maxBytes)
+		}
+		if take.Empty() {
+			break
+		}
+		if take.Packets == head.Packets {
+			b.q = b.q[1:]
+		} else {
+			_, b.q[0] = head.SplitPackets(take.Packets)
+		}
+		b.packets -= take.Packets
+		b.bytes -= take.Bytes
+		out = append(out, take)
+		if maxPackets >= 0 {
+			if maxPackets -= take.Packets; maxPackets == 0 {
+				break
+			}
+		}
+		if maxBytes >= 0 {
+			if maxBytes -= take.Bytes; maxBytes <= 0 {
+				break
+			}
+		}
+	}
+	return out
+}
+
+func (b *sliceBuffer) peek() (Batch, bool) {
+	if len(b.q) == 0 {
+		return Batch{}, false
+	}
+	return b.q[0], true
+}
+
+// TestBufferMatchesSliceModel drives random Enqueue / Dequeue / Peek
+// sequences against the ring and the slice model: every returned batch,
+// overflow and gauge must agree after every step. Flows, destinations,
+// feedback hooks and the egress mark are drawn from small sets so runs of
+// coalescing and non-coalescing neighbours both occur, and the enqueue bias
+// swings so the queue fills (the ring grows while wrapped), drains to empty
+// (the ring is kept) and hovers (the head walks round the ring, batches
+// coalesce across the wrap and heads are split in place).
+func TestBufferMatchesSliceModel(t *testing.T) {
+	fbs := []Feedback{nil, &recordingFB{}, &recordingFB{}}
+	run := func(seed int64, capPkts uint8, capKB uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ring := NewBuffer(int(capPkts), int64(capKB)<<10)
+		model := &sliceBuffer{capPackets: int(capPkts), capBytes: int64(capKB) << 10}
+		wrapped, grewWrapped := false, false
+		for step := 0; step < 400; step++ {
+			enqBias := []int{8, 2, 5}[step/50%3] // of 10
+			switch op := rng.Intn(10); {
+			case op < enqBias:
+				pk := 1 + rng.Intn(12)
+				batch := Batch{
+					Flow:    FlowID([]string{"a", "b", "c"}[rng.Intn(3)]),
+					Packets: pk,
+					Bytes:   int64(pk) * int64(40+rng.Intn(1460)),
+					FB:      fbs[rng.Intn(len(fbs))],
+					DstVM:   []core.VMID{"", "vm0"}[rng.Intn(2)],
+					Egress:  rng.Intn(4) == 0,
+				}
+				before := len(ring.ring)
+				wasWrapped := ring.head+ring.n > len(ring.ring)
+				if got, want := ring.Enqueue(batch), model.enqueue(batch); got != want {
+					t.Errorf("seed %d step %d: Enqueue overflow %v; model %v", seed, step, got, want)
+					return false
+				}
+				grewWrapped = grewWrapped || (wasWrapped && len(ring.ring) > before)
+			case op < 9:
+				maxP, maxB := rng.Intn(20)-1, int64(rng.Intn(9000))-1
+				got, want := ring.Dequeue(maxP, maxB), model.dequeue(maxP, maxB)
+				if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Errorf("seed %d step %d: Dequeue(%d, %d) = %v; model %v", seed, step, maxP, maxB, got, want)
+					return false
+				}
+			default:
+				gb, gok := ring.Peek()
+				wb, wok := model.peek()
+				if gb != wb || gok != wok {
+					t.Errorf("seed %d step %d: Peek = %v, %v; model %v, %v", seed, step, gb, gok, wb, wok)
+					return false
+				}
+			}
+			wrapped = wrapped || ring.head+ring.n > len(ring.ring)
+			if ring.Len() != model.packets || ring.Bytes() != model.bytes ||
+				ring.FreePackets() != model.freePackets() || ring.FreeBytes() != model.freeBytes() ||
+				ring.Empty() != (model.packets == 0) || ring.n != len(model.q) {
+				t.Errorf("seed %d step %d: gauges %d pkt %d B free %d/%d, %d entries; model %d pkt %d B free %d/%d, %d entries",
+					seed, step, ring.Len(), ring.Bytes(), ring.FreePackets(), ring.FreeBytes(), ring.n,
+					model.packets, model.bytes, model.freePackets(), model.freeBytes(), len(model.q))
+				return false
+			}
+		}
+		// Unbounded runs are long enough that both ring cases must have come up.
+		if capPkts == 0 && capKB == 0 && !(wrapped && grewWrapped) {
+			t.Errorf("seed %d: wrapped=%v grew-while-wrapped=%v; the sequence no longer covers the ring", seed, wrapped, grewWrapped)
+			return false
+		}
+		return true
+	}
+	if !run(1, 0, 0) {
+		return
+	}
+	if err := quick.Check(run, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBufferDequeueResultLifetime pins the aliasing contract call sites
+// rely on: a Dequeue result survives Enqueue on the same buffer (the pNIC
+// driver re-enqueues a remainder while ranging over what it dequeued) and
+// Dequeue on another buffer; only the next Dequeue on the same buffer
+// reuses it.
+func TestBufferDequeueResultLifetime(t *testing.T) {
+	a, other := NewBuffer(0, 0), NewBuffer(0, 0)
+	for _, f := range []FlowID{"a", "b", "c", "d"} {
+		a.Enqueue(Batch{Flow: f, Packets: 1, Bytes: 10})
+		other.Enqueue(Batch{Flow: "o-" + f, Packets: 1, Bytes: 10})
+	}
+	got := a.Dequeue(3, -1)
+	want := append([]Batch(nil), got...)
+	for i := 0; i < 16; i++ { // enough to wrap and grow a's ring
+		a.Enqueue(Batch{Flow: FlowID(rune('e' + i)), Packets: 1, Bytes: 10})
+	}
+	other.Dequeue(-1, -1)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("result changed under Enqueue/other Dequeue: %v; want %v", got, want)
+	}
+	if next := a.Dequeue(1, -1); len(next) != 1 || next[0].Flow != "d" {
+		t.Fatalf("FIFO order lost after growth: %v", next)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		a.Enqueue(Batch{Flow: "x", Packets: 1, Bytes: 10})
+		a.Enqueue(Batch{Flow: "y", Packets: 1, Bytes: 10})
+		a.Dequeue(-1, -1)
+	}); allocs != 0 {
+		t.Fatalf("steady-state Enqueue+Dequeue allocates %.1f objects; want 0", allocs)
 	}
 }
 

@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"slices"
+
 	"perfsight/internal/core"
 )
 
@@ -19,6 +21,8 @@ type NAPI struct {
 	MembusFactor float64
 	// CostScale inflates the per-packet cost under host CPU load.
 	CostScale float64
+
+	blocked []bool // Run's per-queue head-of-line marks, kept across runs
 }
 
 // NewNAPI builds the host NAPI element.
@@ -35,7 +39,9 @@ func NewNAPI(id core.ElementID, cyclesPerPacket, membusFactor float64) *NAPI {
 func (n *NAPI) Run(backlogs *BacklogSet, vsw *VSwitch, nic *PNIC, tuns map[core.VMID]*TUN, cpu *CycleBudget, bus *MembusBudget) {
 	cost := n.CyclesPerPacket * scaleOr1(n.CostScale)
 	queues := backlogs.Queues()
-	blocked := make([]bool, len(queues))
+	n.blocked = slices.Grow(n.blocked[:0], len(queues))[:len(queues)]
+	blocked := n.blocked
+	clear(blocked)
 	for {
 		progress := false
 		for qi, q := range queues {

@@ -79,6 +79,12 @@ type VM struct {
 	VCPUs float64 // cores allocated
 	Stack *dataplane.VMStack
 	Apps  []App
+
+	// This tick's grants and the context the apps are stepped with, reset
+	// by Machine.Tick.
+	qemu, vcpu        dataplane.CycleBudget
+	qemuBus, guestBus dataplane.MembusBudget
+	ctx               AppContext
 }
 
 // HogKind distinguishes interfering workloads.
@@ -133,9 +139,20 @@ type Machine struct {
 	vmOrder  []core.VMID
 	hogs     []*Hog
 	host     *HostStats
-	outWire  []dataplane.Batch
 	lastTick tickStats
 	tick     int64
+
+	// Wire departures are double-buffered: Tick appends to outWire while
+	// the caller may still be ranging over what CollectWire last returned.
+	outWire, collected []dataplane.Batch
+
+	// Per-tick state lives here, not in Tick's frame, so a tick allocates
+	// nothing: the host-side grants, and the fair-share demand and
+	// allocation vectors.
+	softirq              dataplane.CycleBudget
+	busPool, softirqBus  dataplane.MembusBudget
+	demands, alloc       []float64
+	busDemands, busAlloc []float64
 
 	// Last-tick spends drive next-tick demand headroom: a consumer claims
 	// its queued work plus twice what it managed last tick, so claims
@@ -238,11 +255,11 @@ func (m *Machine) OfferWire(batches []dataplane.Batch, dt time.Duration) {
 	m.Stack.OfferRx(batches, dt)
 }
 
-// CollectWire returns (and clears) this tick's wire departures.
+// CollectWire returns (and clears) this tick's wire departures. The result
+// is valid until the next CollectWire.
 func (m *Machine) CollectWire() []dataplane.Batch {
-	out := m.outWire
-	m.outWire = nil
-	return out
+	m.outWire, m.collected = m.collected[:0], m.outWire
+	return m.collected
 }
 
 // HostElement returns the machine-utilization pseudo-element.
@@ -352,36 +369,28 @@ func (m *Machine) Tick(now, dt time.Duration) {
 	m.Stack.SetCostScales(1+8*rho16, 1+48*rho16)
 	perThread := totalCycles / threads
 
-	// 3a. Size the competing CPU claims, I/O threads capped per-thread.
-	type claimant struct {
-		name   string
-		demand float64
-	}
-	var claims []claimant
+	// 3a. Size the competing CPU claims, I/O threads capped per-thread:
+	// softirq, then qemu and vcpu per VM, then host-level hogs.
 	// The softirq claim is bounded by its kthreads (up to two cores here)
 	// and by one core per backlog queue: a single queue's drain cannot be
 	// parallelized, which is the §7.2 case-1 contention.
 	softirqCap := minf(2*perThread, float64(m.Cfg.Stack.BacklogQueues)*m.Cfg.CPUHz*dt.Seconds())
 	softirqDemand := minf(m.softirqDemand(dt), softirqCap)
-	claims = append(claims, claimant{"softirq", softirqDemand})
+	m.demands = append(m.demands[:0], softirqDemand)
 	for _, id := range m.vmOrder {
 		vm := m.vms[id]
-		claims = append(claims, claimant{"qemu/" + string(id), minf(m.qemuDemand(vm, dt), perThread)})
 		vcpuCap := vm.VCPUs * m.Cfg.CPUHz * dt.Seconds()
-		claims = append(claims, claimant{"vcpu/" + string(id), minf(m.vcpuDemand(vm, dt), vcpuCap)})
+		m.demands = append(m.demands, minf(m.qemuDemand(vm, dt), perThread), minf(m.vcpuDemand(vm, dt), vcpuCap))
 	}
-	hostHogBase := len(claims)
+	hostHogBase := len(m.demands)
 	for _, h := range m.hogs {
 		if h.VM != "" {
 			continue // in-VM hogs are apps; they claim through their VM
 		}
-		claims = append(claims, claimant{"hog/" + h.Name, m.hogCPUDemand(h, dt)})
+		m.demands = append(m.demands, m.hogCPUDemand(h, dt))
 	}
-	demands := make([]float64, len(claims))
-	for i, c := range claims {
-		demands[i] = c.demand
-	}
-	alloc := sim.FairShare(totalCycles, demands)
+	m.alloc = sim.FairShareInto(m.alloc, totalCycles, m.demands)
+	alloc := m.alloc
 
 	// 3. Memory-bus budgets: streaming hogs reserve with priority (the
 	// DESIGN.md §5 calibration of why memory-bandwidth contention shows no
@@ -396,15 +405,15 @@ func (m *Machine) Tick(now, dt time.Duration) {
 		}
 	}
 	hogBus := minf(hogBusDemand, busTotal)
-	busDemands := make([]float64, 1+2*len(m.vmOrder))
-	busDemands[0] = m.softirqBusDemand(dt)
-	for i, id := range m.vmOrder {
+	m.busDemands = append(m.busDemands[:0], m.softirqBusDemand(dt))
+	for _, id := range m.vmOrder {
 		vm := m.vms[id]
-		busDemands[1+2*i] = m.qemuBusDemand(vm, dt)
-		busDemands[2+2*i] = m.guestBusDemand(vm, dt)
+		m.busDemands = append(m.busDemands, m.qemuBusDemand(vm, dt), m.guestBusDemand(vm, dt))
 	}
-	busAlloc := sim.FairShare(busTotal-hogBus, busDemands)
-	busPool := dataplane.NewMembusBudget(int64(busTotal - hogBus))
+	m.busAlloc = sim.FairShareInto(m.busAlloc, busTotal-hogBus, m.busDemands)
+	busAlloc := m.busAlloc
+	busPool := &m.busPool
+	busPool.Reset(int64(busTotal-hogBus), nil)
 	busCap := func(i int) int64 {
 		c := int64(1.75 * busAlloc[i])
 		if c < busEpsilon {
@@ -421,40 +430,33 @@ func (m *Machine) Tick(now, dt time.Duration) {
 	// Rotate the service order across ticks so the work-conserving shared
 	// pools do not systematically favor the first-placed VM.
 	n := len(m.vmOrder)
-	order := make([]int, n)
 	for k := 0; k < n; k++ {
-		if n > 0 {
-			order[k] = (int(m.tick) + k) % n
-		}
-	}
-	qemuBudgets := make([]*dataplane.CycleBudget, n)
-	qemuBuses := make([]*dataplane.MembusBudget, n)
-	for _, i := range order {
-		id := m.vmOrder[i]
-		qemuBudgets[i] = dataplane.NewCycleBudget(alloc[1+2*i])
-		qemuBuses[i] = busPool.Child(busCap(1 + 2*i))
-		m.Stack.RunQemuTx(id, qemuBudgets[i], qemuBuses[i], dt)
+		i := (int(m.tick) + k) % n
+		vm := m.vms[m.vmOrder[i]]
+		vm.qemu.Reset(alloc[1+2*i])
+		vm.qemuBus.Reset(busCap(1+2*i), busPool)
+		m.Stack.RunQemuTx(vm.ID, &vm.qemu, &vm.qemuBus, dt)
 	}
 
-	softirq := dataplane.NewCycleBudget(alloc[0])
-	softirqBus := busPool.Child(busCap(0))
+	softirq, softirqBus := &m.softirq, &m.softirqBus
+	softirq.Reset(alloc[0])
+	softirqBus.Reset(busCap(0), busPool)
 	m.Stack.RunHostSoftirq(softirq, softirqBus)
 	m.lastTick.busSpent += float64(softirqBus.Spent())
 	m.lastSoftirqSpent = softirq.Spent()
 	m.lastSoftirqBus = float64(softirqBus.Spent())
 
-	vcpuBudgets := make(map[core.VMID]*dataplane.CycleBudget, n)
-	for _, i := range order {
+	for k := 0; k < n; k++ {
+		i := (int(m.tick) + k) % n
 		id := m.vmOrder[i]
 		vm := m.vms[id]
-		qemu := qemuBudgets[i]
-		qemuBus := qemuBuses[i]
+		qemu, qemuBus := &vm.qemu, &vm.qemuBus
 		m.Stack.RunQemuRx(id, qemu, qemuBus, dt)
 		m.lastQemuSpent[id] = qemu.Spent()
 		m.lastQemuBus[id] = float64(qemuBus.Spent())
-		vcpu := dataplane.NewCycleBudget(alloc[2+2*i])
-		guestBus := busPool.Child(busCap(2 + 2*i))
-		vcpuBudgets[id] = vcpu
+		vcpu, guestBus := &vm.vcpu, &vm.guestBus
+		vcpu.Reset(alloc[2+2*i])
+		guestBus.Reset(busCap(2+2*i), busPool)
 
 		// In-VM hogs timeshare the guest with its apps: carve out their
 		// demand-proportional slice of the vCPU grant first, so a CPU-
@@ -487,9 +489,9 @@ func (m *Machine) Tick(now, dt time.Duration) {
 
 		if runGuest {
 			vm.Stack.GuestRx(vcpu, guestBus)
-			ctx := &AppContext{Now: now, Dt: dt, VM: vm.Stack, VCPU: vcpu, Bus: guestBus}
+			vm.ctx = AppContext{Now: now, Dt: dt, VM: vm.Stack, VCPU: vcpu, Bus: guestBus}
 			for _, a := range vm.Apps {
-				a.Step(ctx)
+				a.Step(&vm.ctx)
 			}
 			vm.Stack.GuestTx(vcpu, guestBus)
 		}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 )
@@ -101,7 +102,15 @@ func (e *Engine) RunUntil(t time.Duration) {
 //     sum(demands) >= capacity (work conservation)
 //   - equal demands receive equal allocations
 func FairShare(capacity float64, demands []float64) []float64 {
-	alloc := make([]float64, len(demands))
+	return FairShareInto(nil, capacity, demands)
+}
+
+// FairShareInto is FairShare writing its allocation into dst, which is
+// grown only when it holds fewer than len(demands) values: a caller that
+// shares every tick keeps the result and passes it back.
+func FairShareInto(dst []float64, capacity float64, demands []float64) []float64 {
+	alloc := slices.Grow(dst[:0], len(demands))[:len(demands)]
+	clear(alloc)
 	if capacity <= 0 || len(demands) == 0 {
 		return alloc
 	}

@@ -104,6 +104,27 @@ func TestFairShareZeroCapacity(t *testing.T) {
 	}
 }
 
+// TestFairShareIntoReusesDst: the into-dst form overwrites whatever dst
+// held (a stale larger allocation, non-positive demands that must read 0),
+// resizes it to the demands, and allocates only when dst is too small.
+func TestFairShareIntoReusesDst(t *testing.T) {
+	dst := FairShareInto(nil, 100, []float64{10, 200, 200, 7})
+	got := FairShareInto(dst, 100, []float64{0, -5, 50})
+	if len(got) != 3 || got[0] != 0 || got[1] != 0 || got[2] != 50 {
+		t.Fatalf("reused dst = %v; want [0 0 50]", got)
+	}
+	if &got[0] != &dst[0] {
+		t.Fatal("dst with room was not reused")
+	}
+	demands := []float64{60, 60, 5}
+	if allocs := testing.AllocsPerRun(100, func() { got = FairShareInto(got, 1000, demands) }); allocs != 0 {
+		t.Fatalf("undersubscribed FairShareInto allocates %.1f objects with a dst that fits", allocs)
+	}
+	if got := FairShareInto(got, 0, demands); got[0] != 0 || got[1] != 0 || got[2] != 0 {
+		t.Fatalf("zero capacity left stale shares: %v", got)
+	}
+}
+
 // TestFairShareProperties checks the max–min invariants over random inputs.
 func TestFairShareProperties(t *testing.T) {
 	f := func(capRaw uint16, demandsRaw []uint16) bool {
