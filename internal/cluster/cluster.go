@@ -46,36 +46,19 @@ type route struct {
 
 // Cluster is a complete simulated deployment.
 //
-// Ticks follow a canonical two-phase schedule in both serial and parallel
-// mode (see DESIGN.md §"Parallel lab & chaos"): pre tickers (chaos,
-// actuators) → host phase → machine phase → serialized commit (wire
-// routing, fabric fair share, deferred connection feedback, receive-window
-// refresh, post tickers). Machines exchange wire traffic with the cluster
-// exclusively through the OfferWire/CollectWire structs, never by mutating
-// another machine, which is what makes the phases safe to shard across
-// tick domains (Parallelize) while staying byte-identical to serial runs.
+// Every tick follows one canonical two-phase schedule (see DESIGN.md
+// §"Parallel lab & chaos"): pre tickers (chaos, actuators) → host phase →
+// machine phase → serialized commit (wire routing, deferred connection
+// feedback, receive-window refresh, post tickers). Machines exchange wire
+// traffic with the cluster exclusively through the OfferWire/CollectWire
+// structs, never by mutating another machine, which is what makes the
+// phases safe to shard across tick domains (Parallelize) while staying
+// byte-identical to the default one-domain, one-worker engine.
 type Cluster struct {
-	Engine *sim.Engine
-
-	// FabricBps caps aggregate machine-to-machine wire bandwidth (the core
-	// fabric). At commit, per-flow demands receive a max–min fair share of
-	// the fabric's per-tick byte budget and the excess is dropped at
-	// "fabric/core" — the cluster-level fair-share solver that runs in the
-	// commit phase. Zero means an unconstrained fabric.
-	FabricBps float64
-
 	// RmemPerConn clamps the receive window a VM-destined connection
 	// advertises, modelling per-socket tcp_rmem rather than the VM's
 	// whole socket pool (Linux 3.2 default: 212992). Zero means 1 MiB.
 	RmemPerConn int64
-	// AckDelay is how stale the receive window a sender acts on may be
-	// (window updates ride ACKs, one RTT behind). Senders overshooting a
-	// stale window is what lets a slow VM's TUN overflow before flow
-	// control catches up, as on real TCP. Zero means 2 ms.
-	AckDelay time.Duration
-	// NoStaleWindows disables the freeze of window updates while a guest
-	// cannot poll its ring (ablation knob; see DESIGN.md §5).
-	NoStaleWindows bool
 
 	machines     map[core.MachineID]*machine.Machine
 	machineOrder []core.MachineID
@@ -92,9 +75,8 @@ type Cluster struct {
 	pending, next map[core.MachineID][]dataplane.Batch
 
 	// Two-phase tick state. conns/windows are everything the commit phase
-	// must settle serially; pre/post run outside the parallel phases in
-	// both modes.
-	par       *sim.ParallelEngine
+	// must settle serially; pre/post run outside the parallel phases.
+	eng       *sim.ParallelEngine
 	pre       []sim.Ticker
 	post      []sim.Ticker
 	conns     []*stream.Conn
@@ -109,10 +91,12 @@ type Cluster struct {
 	ticks   *telemetry.Counter
 }
 
-// New builds an empty cluster with the given tick size.
+// New builds an empty cluster with the given tick size (sim.DefaultTick if
+// dt <= 0). It ticks on one domain with one worker, whose phases range over
+// every host and machine present at tick time, so placement stays open
+// until Parallelize.
 func New(dt time.Duration) *Cluster {
 	c := &Cluster{
-		Engine:     sim.NewEngine(dt),
 		machines:   make(map[core.MachineID]*machine.Machine),
 		hosts:      make(map[string]*Host),
 		routes:     make(map[dataplane.FlowID]route),
@@ -121,59 +105,19 @@ func New(dt time.Duration) *Cluster {
 		registries: make(map[core.MachineID]*stats.Registry),
 		topo:       core.NewTopology(),
 	}
-	c.Engine.AddFunc(c.tick)
+	c.eng = c.newEngine(dt, 1, 1, 0)
+	d := c.eng.Domain(0)
+	d.AddFunc(0, func(now, dt time.Duration) { c.hostRange(0, len(c.hostOrder), now, dt) })
+	d.AddFunc(1, func(now, dt time.Duration) { c.machineRange(0, len(c.machineOrder), now, dt) })
 	return c
 }
 
-// Now returns current virtual time.
-func (c *Cluster) Now() time.Duration {
-	if c.par != nil {
-		return c.par.Now()
-	}
-	return c.Engine.Now()
-}
-
-// NowNS returns current virtual time in nanoseconds (record timestamps).
-func (c *Cluster) NowNS() int64 { return int64(c.Now()) }
-
-// Run advances virtual time by d (whole ticks, rounded up — see
-// sim.Engine.Run).
-func (c *Cluster) Run(d time.Duration) {
-	if c.par != nil {
-		c.par.Run(d)
-		return
-	}
-	c.Engine.Run(d)
-}
-
-// Parallelize shards the cluster across `domains` tick domains advanced by
-// a pool of `workers` goroutines. Hosts run in parallel phase 0, machines
-// in parallel phase 1, and the cross-domain merge stays in the serialized
-// commit, so trajectories are byte-identical to the serial engine for the
-// same scenario seed at any worker count. Each domain gets its own RNG
-// stream derived from seed.
-//
-// Call after the topology is built and before Run: machine/host placement
-// is frozen (VM placement, routes and connections stay dynamic — they only
-// touch commit-phase structures). Call Close when done to stop the worker
-// pool.
-func (c *Cluster) Parallelize(domains, workers int, seed uint64) *sim.ParallelEngine {
-	if c.par != nil {
-		panic("cluster: Parallelize called twice")
-	}
-	if c.Engine.Now() != 0 {
-		panic("cluster: Parallelize must be called before Run")
-	}
-	par := sim.NewParallelEngine(c.Engine.Dt(), domains, 2, workers, seed)
-	for j, p := range sim.Partition(len(c.hostOrder), par.Domains()) {
-		from, to := p[0], p[1]
-		par.Domain(j).AddFunc(0, func(now, dt time.Duration) { c.hostRange(from, to, now, dt) })
-	}
-	for j, p := range sim.Partition(len(c.machineOrder), par.Domains()) {
-		from, to := p[0], p[1]
-		par.Domain(j).AddFunc(1, func(now, dt time.Duration) { c.machineRange(from, to, now, dt) })
-	}
-	par.AddPreFunc(func(now, dt time.Duration) {
+// newEngine returns a two-phase engine whose serial stages run the
+// cluster's pre tickers and commit, timing the whole tick when telemetry
+// is on. The caller registers the host (0) and machine (1) phases.
+func (c *Cluster) newEngine(dt time.Duration, domains, workers int, seed uint64) *sim.ParallelEngine {
+	e := sim.NewParallelEngine(dt, domains, 2, workers, seed)
+	e.AddPreFunc(func(now, dt time.Duration) {
 		if c.tickDur != nil {
 			c.tickStart = time.Now()
 		}
@@ -181,36 +125,74 @@ func (c *Cluster) Parallelize(domains, workers int, seed uint64) *sim.ParallelEn
 			t.Tick(now, dt)
 		}
 	})
-	par.AddCommitFunc(func(now, dt time.Duration) {
+	e.AddCommitFunc(func(now, dt time.Duration) {
 		c.commit(now, dt)
 		if c.tickDur != nil {
 			c.tickDur.Observe(float64(time.Since(c.tickStart).Nanoseconds()))
 			c.ticks.Inc()
 		}
 	})
-	c.par = par
-	c.frozen = true
-	return par
+	return e
 }
 
-// Parallel reports whether the cluster runs on the sharded engine.
-func (c *Cluster) Parallel() bool { return c.par != nil }
+// Now returns current virtual time.
+func (c *Cluster) Now() time.Duration { return c.eng.Now() }
 
-// Close stops the parallel worker pool, if any. Safe to call on serial
-// clusters and idempotent.
-func (c *Cluster) Close() {
-	if c.par != nil {
-		c.par.Close()
+// NowNS returns current virtual time in nanoseconds (record timestamps).
+func (c *Cluster) NowNS() int64 { return int64(c.Now()) }
+
+// Dt returns the tick size.
+func (c *Cluster) Dt() time.Duration { return c.eng.Dt() }
+
+// Run advances virtual time by d (whole ticks, rounded up — see
+// sim.ParallelEngine.Run).
+func (c *Cluster) Run(d time.Duration) { c.eng.Run(d) }
+
+// Parallelize shards the cluster across `domains` tick domains advanced by
+// a pool of `workers` goroutines. Hosts run in parallel phase 0, machines
+// in parallel phase 1, and the cross-domain merge stays in the serialized
+// commit, so trajectories are byte-identical to the default engine for the
+// same scenario at any worker count. Each domain gets its own RNG stream
+// derived from seed.
+//
+// Call once, after the topology is built and before Run: machine/host
+// placement is frozen (VM placement, routes and connections stay dynamic —
+// they only touch commit-phase structures). Call Close when done to stop
+// the worker pool.
+func (c *Cluster) Parallelize(domains, workers int, seed uint64) *sim.ParallelEngine {
+	if c.frozen {
+		panic("cluster: Parallelize called twice")
 	}
+	if c.eng.Now() != 0 {
+		panic("cluster: Parallelize must be called before Run")
+	}
+	e := c.newEngine(c.eng.Dt(), domains, workers, seed)
+	for j, p := range sim.Partition(len(c.hostOrder), e.Domains()) {
+		from, to := p[0], p[1]
+		e.Domain(j).AddFunc(0, func(now, dt time.Duration) { c.hostRange(from, to, now, dt) })
+	}
+	for j, p := range sim.Partition(len(c.machineOrder), e.Domains()) {
+		from, to := p[0], p[1]
+		e.Domain(j).AddFunc(1, func(now, dt time.Duration) { c.machineRange(from, to, now, dt) })
+	}
+	c.eng = e
+	c.frozen = true
+	return e
 }
+
+// Close stops the engine and its worker pool, if any. It is idempotent,
+// and it ends the cluster's clock: Run after Close panics, on the default
+// engine as on a parallelized one. Now, Dt and every read of cluster state
+// keep working.
+func (c *Cluster) Close() { c.eng.Close() }
 
 // AddPreTick registers a ticker that runs serialized before the tick's
-// parallel phases in both modes — the place for chaos injectors and
-// scenario actuators that mutate machines.
+// parallel phases — the place for chaos injectors and scenario actuators
+// that mutate machines.
 func (c *Cluster) AddPreTick(t sim.Ticker) { c.pre = append(c.pre, t) }
 
 // AddPostTick registers a ticker that runs serialized at the end of the
-// commit phase in both modes (after routing, feedback and window refresh).
+// commit phase (after routing, feedback and window refresh).
 func (c *Cluster) AddPostTick(t sim.Ticker) { c.post = append(c.post, t) }
 
 // AddPostTickFunc registers a commit-tail function ticker.
@@ -458,8 +440,8 @@ func (c *Cluster) Connect(f dataplane.FlowID, src, dst Endpoint, cfg stream.Conf
 	}
 	conn := stream.NewConn(f, cfg, emit, rwnd)
 	// Batches on this flow may be delivered/dropped by concurrently-ticking
-	// shards; queue the feedback and settle it in commit, in both modes, so
-	// serial and parallel trajectories stay identical.
+	// shards; queue the feedback and settle it in commit, so trajectories
+	// stay identical at any domain and worker count.
 	conn.DeferFeedback()
 	c.conns = append(c.conns, conn)
 	if src.IsHost() {
@@ -488,20 +470,21 @@ type vmWindow struct {
 // RxFree implements stream.Window: the window advertised by the last ACK.
 func (w *vmWindow) RxFree() int64 { return w.lastVal }
 
+// ackDelay is how stale the receive window a sender acts on may be:
+// window updates ride ACKs, one RTT behind. Senders overshooting a stale
+// window is what lets a slow VM's TUN overflow before flow control catches
+// up, as on real TCP (DESIGN.md §5).
+const ackDelay = 2 * time.Millisecond
+
 // refresh re-reads the destination socket at commit. Staleness contract:
 // senders act on a window at least one tick old (the refresh-to-use gap)
-// and at most AckDelay old, frozen entirely while the guest cannot poll
+// and at most ackDelay old, frozen entirely while the guest cannot poll
 // its ring (it cannot ACK either); immediate once the VM exists but the
-// cache was never primed. One tick of the AckDelay budget is consumed by
+// cache was never primed. One tick of the ackDelay budget is consumed by
 // the commit-to-read gap itself, so the cadence gate only withholds
 // refreshes beyond that.
 func (w *vmWindow) refresh(now time.Duration) {
-	delay := w.c.AckDelay
-	if delay <= 0 {
-		delay = 2 * time.Millisecond
-	}
-	delay -= w.c.Engine.Dt() // the cached value is read one tick after refresh
-	if w.primed && now-w.lastUpdate < delay {
+	if w.primed && now-w.lastUpdate < ackDelay-w.c.Dt() {
 		return
 	}
 	mm := w.c.machines[w.m]
@@ -516,7 +499,7 @@ func (w *vmWindow) refresh(now time.Duration) {
 		w.primed = false
 		return
 	}
-	if w.primed && !w.c.NoStaleWindows && vs.Stack.KernelBehind() {
+	if w.primed && vs.Stack.KernelBehind() {
 		// A guest that cannot poll its ring cannot send ACKs or window
 		// updates either: senders keep acting on the last advertised
 		// window, which is how a starved VM's TUN overflows before flow
@@ -534,26 +517,6 @@ func (w *vmWindow) refresh(now time.Duration) {
 	w.lastVal = free
 	w.lastUpdate = now
 	w.primed = true
-}
-
-// tick advances the whole cluster one step on the serial engine, using the
-// same canonical phase order the parallel engine uses: pre → hosts →
-// machines → commit. Keeping one schedule for both modes is what lets the
-// determinism golden test demand byte-identical trajectories.
-func (c *Cluster) tick(now, dt time.Duration) {
-	if c.tickDur != nil {
-		start := time.Now()
-		defer func() {
-			c.tickDur.Observe(float64(time.Since(start).Nanoseconds()))
-			c.ticks.Inc()
-		}()
-	}
-	for _, t := range c.pre {
-		t.Tick(now, dt)
-	}
-	c.hostRange(0, len(c.hostOrder), now, dt)
-	c.machineRange(0, len(c.machineOrder), now, dt)
-	c.commit(now, dt)
 }
 
 // hostRange ticks hosts [from, to) in creation order: external hosts
@@ -582,9 +545,8 @@ func (c *Cluster) machineRange(from, to int, now, dt time.Duration) {
 
 // commit is the serialized merge that ends every tick: collect departures
 // in canonical order (hosts, then machines, each in creation order), route
-// them, apply the fabric fair share, settle deferred connection feedback
-// in canonical order, refresh receive-window caches from settled socket
-// state, then run post tickers.
+// them, settle deferred connection feedback in canonical order, refresh
+// receive-window caches from settled socket state, then run post tickers.
 func (c *Cluster) commit(now, dt time.Duration) {
 	next := c.next
 	for mid, arr := range next {
@@ -592,15 +554,14 @@ func (c *Cluster) commit(now, dt time.Duration) {
 	}
 	for _, hn := range c.hostOrder {
 		for _, b := range c.hosts[hn].drainOut() {
-			c.routeBatch(b, next, dt)
+			c.routeBatch(b, next)
 		}
 	}
 	for _, mid := range c.machineOrder {
 		for _, b := range c.machines[mid].CollectWire() {
-			c.routeBatch(b, next, dt)
+			c.routeBatch(b, next)
 		}
 	}
-	c.trimFabric(next, dt)
 	c.pending, c.next = next, c.pending
 	for _, cn := range c.conns {
 		cn.FlushFeedback()
@@ -613,69 +574,8 @@ func (c *Cluster) commit(now, dt time.Duration) {
 	}
 }
 
-// trimFabric applies FabricBps to next tick's machine-bound wire traffic:
-// flows get a max–min fair share of the fabric's per-tick byte budget and
-// the excess is dropped at "fabric/core", like an oversubscribed core
-// switch. Flows are keyed in first-seen canonical order so the allocation
-// never depends on map iteration.
-func (c *Cluster) trimFabric(next map[core.MachineID][]dataplane.Batch, dt time.Duration) {
-	if c.FabricBps <= 0 {
-		return
-	}
-	budget := sim.BytesIn(c.FabricBps, dt)
-	var flows []dataplane.FlowID
-	demand := map[dataplane.FlowID]int64{}
-	total := int64(0)
-	for _, mid := range c.machineOrder {
-		for _, b := range next[mid] {
-			if _, seen := demand[b.Flow]; !seen {
-				flows = append(flows, b.Flow)
-			}
-			demand[b.Flow] += b.Bytes
-			total += b.Bytes
-		}
-	}
-	if total <= budget {
-		return
-	}
-	demands := make([]float64, len(flows))
-	for i, f := range flows {
-		demands[i] = float64(demand[f])
-	}
-	alloc := sim.FairShare(float64(budget), demands)
-	allow := make(map[dataplane.FlowID]int64, len(flows))
-	for i, f := range flows {
-		allow[f] = int64(alloc[i])
-	}
-	for _, mid := range c.machineOrder {
-		arr := next[mid]
-		kept := arr[:0]
-		for _, b := range arr {
-			quota := allow[b.Flow]
-			if quota >= b.Bytes {
-				allow[b.Flow] = quota - b.Bytes
-				kept = append(kept, b)
-				continue
-			}
-			pass, drop := b.SplitBytes(quota)
-			allow[b.Flow] = 0
-			if pass.Bytes > 0 {
-				kept = append(kept, pass)
-			}
-			if drop.Bytes > 0 {
-				drop.NotifyDropped("fabric/core")
-			}
-		}
-		if len(kept) > 0 {
-			next[mid] = kept
-		} else {
-			delete(next, mid)
-		}
-	}
-}
-
 // routeBatch delivers a wire batch toward its flow's destination.
-func (c *Cluster) routeBatch(b dataplane.Batch, next map[core.MachineID][]dataplane.Batch, dt time.Duration) {
+func (c *Cluster) routeBatch(b dataplane.Batch, next map[core.MachineID][]dataplane.Batch) {
 	r, ok := c.routes[b.Flow]
 	if !ok {
 		// Unrouted wire traffic disappears into the fabric; flows are

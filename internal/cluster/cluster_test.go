@@ -127,7 +127,7 @@ func TestRawFloodDrops(t *testing.T) {
 	gw := c.AddHost("gw", 0)
 	c.RouteFlow("flood", HostEndpoint("gw"), VMEndpoint("m0", "vm0"))
 
-	c.Engine.AddFunc(func(now, dt time.Duration) {
+	c.AddPostTickFunc(func(now, dt time.Duration) {
 		bytes := int64(3e9 / 8 * dt.Seconds()) // 3 Gbps into a 1 Gbps NIC
 		gw.EmitRaw(dataplane.Batch{Flow: "flood", Packets: int(bytes / 1500), Bytes: bytes})
 	})
@@ -145,8 +145,8 @@ func TestRawFloodDrops(t *testing.T) {
 }
 
 // Per-tick scenario work registered with AddPostTickFunc must keep
-// running after Parallelize (Engine.AddFunc tickers are serial-only and
-// silently stop): N ticks, N calls, on both engines.
+// running after Parallelize swaps the engine: N ticks, N calls, on the
+// default engine and the sharded one.
 func TestPostTickFuncSurvivesParallelize(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		c := New(time.Millisecond)

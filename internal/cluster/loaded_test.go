@@ -94,10 +94,11 @@ func (f *loadedFleet) digest() uint64 {
 
 // TestLoadedFleetTrajectoryPinned pins the loaded trajectory across
 // commits: the digests were recorded at the commit before the tick was made
-// allocation-free, on both engines, and any change to the tick must
-// reproduce them. (TestParallelDeterminismGolden only compares the engines
-// with each other.) The 8-machine fleet contains a hot VM, so TUN overflow,
-// loss feedback and retransmission are in the digest.
+// allocation-free, on the default engine and parallelized, and any change
+// to the tick must reproduce them. (TestParallelDeterminismGolden only
+// compares engine shapes with each other.) The 8-machine fleet contains a
+// hot VM, so TUN overflow, loss feedback and retransmission are in the
+// digest.
 func TestLoadedFleetTrajectoryPinned(t *testing.T) {
 	const (
 		ticks  = 300

@@ -9,11 +9,6 @@ type CycleBudget struct {
 	spent  float64
 }
 
-// NewCycleBudget returns a budget of the given cycles.
-func NewCycleBudget(cycles float64) *CycleBudget {
-	return &CycleBudget{Cycles: cycles}
-}
-
 // Reset makes b a fresh grant of the given cycles, nothing spent: whoever
 // ticks a consumer holds its budget by value and resets it each tick.
 func (b *CycleBudget) Reset(cycles float64) {
@@ -106,19 +101,9 @@ type MembusBudget struct {
 	parent *MembusBudget
 }
 
-// NewMembusBudget returns a budget of the given bus bytes.
-func NewMembusBudget(bytes int64) *MembusBudget {
-	return &MembusBudget{Bytes: bytes}
-}
-
-// Child returns a capped budget drawing from m as the shared pool.
-func (m *MembusBudget) Child(capBytes int64) *MembusBudget {
-	return &MembusBudget{Bytes: capBytes, parent: m}
-}
-
 // Reset makes m a fresh grant of the given bus bytes, nothing spent, that
-// also draws from pool (nil for none): the in-place form of NewMembusBudget
-// and Child.
+// also draws from pool (nil for none): whoever ticks a consumer holds its
+// budget by value and resets it each tick.
 func (m *MembusBudget) Reset(bytes int64, pool *MembusBudget) {
 	*m = MembusBudget{Bytes: bytes, parent: pool}
 }

@@ -73,8 +73,8 @@ func TestDriverMovesRingToBacklog(t *testing.T) {
 	d := NewPNICDriver("m0/pnic_driver", 1000, 0)
 	set := NewBacklogSet("m0", 1, 300)
 	p.OfferRx([]Batch{{Flow: "f", Packets: 100, Bytes: 10000}}, time.Second)
-	cpu := NewCycleBudget(1e6)
-	bus := NewMembusBudget(1 << 30)
+	cpu := cycles(1e6)
+	bus := bus(1 << 30)
 	d.Move(p, set, cpu, bus)
 	if set.TotalLen() != 100 {
 		t.Fatalf("backlog holds %d; want 100", set.TotalLen())
@@ -92,7 +92,7 @@ func TestDriverBudgetLimits(t *testing.T) {
 	d := NewPNICDriver("m0/pnic_driver", 1000, 0)
 	set := NewBacklogSet("m0", 1, 300)
 	p.OfferRx([]Batch{{Flow: "f", Packets: 100, Bytes: 10000}}, time.Second)
-	d.Move(p, set, NewCycleBudget(40*1000), NewMembusBudget(1<<30))
+	d.Move(p, set, cycles(40*1000), bus(1<<30))
 	if set.TotalLen() != 40 {
 		t.Fatalf("cpu-limited move got %d; want 40", set.TotalLen())
 	}
@@ -107,7 +107,7 @@ func TestDriverAllocFailDropsAtDriver(t *testing.T) {
 	d.AllocFailRate = 0.5
 	set := NewBacklogSet("m0", 1, 10000)
 	p.OfferRx([]Batch{{Flow: "f", Packets: 100, Bytes: 10000}}, time.Second)
-	d.Move(p, set, NewCycleBudget(1e9), NewMembusBudget(1<<30))
+	d.Move(p, set, cycles(1e9), bus(1<<30))
 	if drops := d.ES.Drop.Packets.Load(); drops != 50 {
 		t.Fatalf("driver dropped %d; want 50", drops)
 	}
@@ -212,7 +212,7 @@ func TestNAPIRoutesToTUNAndDropsUnmatched(t *testing.T) {
 
 	set.Enqueue(Batch{Flow: "good", Packets: 10, Bytes: 1000})
 	set.Enqueue(Batch{Flow: "bad", Packets: 5, Bytes: 500})
-	napi.Run(set, v, nic, map[core.VMID]*TUN{"vm0": tun}, NewCycleBudget(1e9), NewMembusBudget(1<<30))
+	napi.Run(set, v, nic, map[core.VMID]*TUN{"vm0": tun}, cycles(1e9), bus(1<<30))
 
 	if tun.Len() != 10 {
 		t.Fatalf("tun got %d; want 10", tun.Len())
@@ -230,7 +230,7 @@ func TestNAPIHOLBlocksOnFullTxQueue(t *testing.T) {
 	v.InstallToPNIC("wire")
 
 	set.Enqueue(Batch{Flow: "wire", Packets: 100, Bytes: 10000})
-	napi.Run(set, v, nic, nil, NewCycleBudget(1e9), NewMembusBudget(1<<30))
+	napi.Run(set, v, nic, nil, cycles(1e9), bus(1<<30))
 	if set.TotalLen() != 90 {
 		t.Fatalf("backlog should keep the HOL-blocked remainder: %d", set.TotalLen())
 	}
@@ -263,7 +263,7 @@ func TestHypervisorIORespectsVNICRate(t *testing.T) {
 	vnic := NewVNIC("m0/vm0/guest/vnic", "vm0", 8e6, 100000) // 1 MB/s
 	h := NewHypervisorIO("m0/vm0/qemu", "vm0", 100, 0)
 	tun.Write(Batch{Flow: "f", Packets: 5000, Bytes: 5e6})
-	h.MoveRx(tun, vnic, NewCycleBudget(1e12), NewMembusBudget(1<<40), time.Second)
+	h.MoveRx(tun, vnic, cycles(1e12), bus(1<<40), time.Second)
 	if got := vnic.RxRingBytes(); got != 1e6 {
 		t.Fatalf("moved %d bytes; want 1e6 (vNIC line rate)", got)
 	}
@@ -274,7 +274,7 @@ func TestHypervisorIOBackpressuresOnFullRing(t *testing.T) {
 	vnic := NewVNIC("m0/vm0/guest/vnic", "vm0", 8e9, 10)
 	h := NewHypervisorIO("m0/vm0/qemu", "vm0", 100, 0)
 	tun.Write(Batch{Flow: "f", Packets: 100, Bytes: 10000})
-	h.MoveRx(tun, vnic, NewCycleBudget(1e12), NewMembusBudget(1<<40), time.Second)
+	h.MoveRx(tun, vnic, cycles(1e12), bus(1<<40), time.Second)
 	if vnic.RxRingLen() != 10 {
 		t.Fatalf("ring %d; want 10", vnic.RxRingLen())
 	}
@@ -360,7 +360,7 @@ func TestStackDuplicateVMPanics(t *testing.T) {
 }
 
 func TestCycleBudget(t *testing.T) {
-	b := NewCycleBudget(1000)
+	b := cycles(1000)
 	if b.PacketsFor(100) != 10 {
 		t.Fatalf("PacketsFor = %d", b.PacketsFor(100))
 	}
@@ -382,9 +382,10 @@ func TestCycleBudget(t *testing.T) {
 }
 
 func TestMembusBudgetSharedPool(t *testing.T) {
-	pool := NewMembusBudget(1000)
-	a := pool.Child(800)
-	b := pool.Child(800)
+	var pool, a, b MembusBudget
+	pool.Reset(1000, nil)
+	a.Reset(800, &pool)
+	b.Reset(800, &pool)
 	if a.WireBytesFor(1) != 800 {
 		t.Fatalf("child sees %d", a.WireBytesFor(1))
 	}
@@ -403,7 +404,7 @@ func TestMembusBudgetSharedPool(t *testing.T) {
 }
 
 func TestMembusBudgetFactorConversion(t *testing.T) {
-	m := NewMembusBudget(180)
+	m := bus(180)
 	if m.WireBytesFor(18) != 10 {
 		t.Fatalf("WireBytesFor(18) = %d; want 10", m.WireBytesFor(18))
 	}

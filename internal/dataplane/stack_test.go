@@ -17,8 +17,21 @@ func buildStack(t *testing.T) (*Stack, *VMStack) {
 	return s, vm
 }
 
-func bigCPU() *CycleBudget     { return NewCycleBudget(1e12) }
-func bigBus() *MembusBudget    { return NewMembusBudget(1 << 40) }
+// cycles and bus build a budget the way Machine.Tick does: a value, Reset.
+func cycles(n float64) *CycleBudget {
+	var b CycleBudget
+	b.Reset(n)
+	return &b
+}
+
+func bus(n int64) *MembusBudget {
+	var b MembusBudget
+	b.Reset(n, nil)
+	return &b
+}
+
+func bigCPU() *CycleBudget     { return cycles(1e12) }
+func bigBus() *MembusBudget    { return bus(1 << 40) }
 func rxBatch(pkts int) []Batch { return []Batch{{Flow: "f", Packets: pkts, Bytes: int64(pkts) * 1448}} }
 
 // TestRxPipelinePhases walks one packet burst through every receive stage
@@ -98,7 +111,7 @@ func TestSoftirqBudgetBackpressure(t *testing.T) {
 	costs := s.Cfg.Costs
 	perRound := 10 * (costs.DriverCyclesPerPkt + costs.NAPICyclesPerPkt)
 	for round := 0; round < 5; round++ {
-		s.RunHostSoftirq(NewCycleBudget(perRound), bigBus())
+		s.RunHostSoftirq(cycles(perRound), bigBus())
 		moved := vm.Tun.Len()
 		left := s.PNic.RxRingLen() + s.Backlogs.TotalLen()
 		if moved+left != 100 {

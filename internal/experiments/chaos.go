@@ -348,7 +348,7 @@ func chaosCrash(f ChaosFault) (ChaosOutcome, error) {
 	_, derr := diagnosis.FindContentionAndBottleneck(l.Ctl, probeTenant, 3*time.Second)
 	check(derr != nil, "during crash: diagnosis error = %v (want non-nil)", derr)
 
-	l.Run(f.Heal - l.C.Now() + 2*l.C.Engine.Dt())
+	l.Run(f.Heal - l.C.Now() + 2*l.C.Dt())
 	post, err := diagnosis.FindContentionAndBottleneck(l.Ctl, probeTenant, 3*time.Second)
 	if err != nil {
 		return out, fmt.Errorf("post-restart diagnosis: %w", err)
@@ -429,7 +429,7 @@ func chaosPartition(f ChaosFault) (ChaosOutcome, error) {
 		"during partition verdict %s from m0's partial data (want %s)", during.Inferred, diagnosis.ResourceMemoryBandwidth)
 	check(!rankedHasMachine(during, "m1"), "during partition ranking covers m1 = %v (want false)", rankedHasMachine(during, "m1"))
 
-	l.Run(f.Heal - l.C.Now() + 2*l.C.Engine.Dt())
+	l.Run(f.Heal - l.C.Now() + 2*l.C.Dt())
 	post, err := diagnosis.FindContentionAndBottleneck(l.Ctl, probeTenant, 3*time.Second)
 	if err != nil {
 		return out, fmt.Errorf("post-heal diagnosis: %w", err)
@@ -504,7 +504,7 @@ func chaosSkew(f ChaosFault) (ChaosOutcome, error) {
 	check(seen && time.Duration(abs64(base)) < f.Offset/4,
 		"baseline skew estimate %s (want |est| < %s)", time.Duration(base), f.Offset/4)
 
-	l.Run(f.At + l.C.Engine.Dt()) // cross the injection time
+	l.Run(f.At + l.C.Dt()) // cross the injection time
 	if err := sample(12); err != nil {
 		return out, fmt.Errorf("post-skew sampling: %w", err)
 	}
@@ -579,12 +579,12 @@ func chaosSlowDisk(f ChaosFault) (ChaosOutcome, error) {
 	if err != nil {
 		return out, fmt.Errorf("baseline sweep: %w", err)
 	}
-	l.Run(f.At - l.C.Now() + l.C.Engine.Dt())
+	l.Run(f.At - l.C.Now() + l.C.Dt())
 	during, err := sweep()
 	if err != nil {
 		return out, fmt.Errorf("slow-disk sweep: %w", err)
 	}
-	l.Run(f.Heal - l.C.Now() + l.C.Engine.Dt())
+	l.Run(f.Heal - l.C.Now() + l.C.Dt())
 	after, err := sweep()
 	if err != nil {
 		return out, fmt.Errorf("post-heal sweep: %w", err)

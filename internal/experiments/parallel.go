@@ -220,8 +220,8 @@ func (r *ScaleResult) String() string {
 	return sb.String()
 }
 
-// RunScale builds the scenario twice — once on the serial engine, once on
-// the sharded parallel engine — runs both for the configured virtual
+// RunScale builds the scenario twice — once on the default one-domain
+// serial engine, once sharded — runs both for the configured virtual
 // duration, and compares wall time and trajectory hashes.
 func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	cfg = cfg.withDefaults()

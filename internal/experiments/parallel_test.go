@@ -47,8 +47,8 @@ func runGolden(t *testing.T, cfg ScaleConfig, parallel bool, workers int) (store
 }
 
 // TestParallelDeterminismGolden: the same seeded 200-machine scenario must
-// leave byte-identical history-store content whether it ran on the serial
-// engine, the parallel engine with one worker, or the parallel engine with
+// leave byte-identical history-store content whether it ran on the default
+// one-domain serial engine, sharded over one worker, or sharded over
 // several workers.
 func TestParallelDeterminismGolden(t *testing.T) {
 	if testing.Short() {

@@ -44,10 +44,24 @@ func (h *appHarness) step(app machine.App, now time.Duration, cycles float64) {
 		Now:  now,
 		Dt:   time.Millisecond,
 		VM:   h.vm,
-		VCPU: dataplane.NewCycleBudget(cycles),
-		Bus:  dataplane.NewMembusBudget(1 << 30),
+		VCPU: cycleBudget(cycles),
+		Bus:  busBudget(1 << 30),
 	}
 	app.Step(h.ctx)
+}
+
+// cycleBudget and busBudget build a budget the way Machine.Tick does: a
+// value, Reset.
+func cycleBudget(cycles float64) *dataplane.CycleBudget {
+	var b dataplane.CycleBudget
+	b.Reset(cycles)
+	return &b
+}
+
+func busBudget(bytes int64) *dataplane.MembusBudget {
+	var b dataplane.MembusBudget
+	b.Reset(bytes, nil)
+	return &b
 }
 
 func (h *appHarness) deliver(bytes int64) {
@@ -271,8 +285,8 @@ func TestInstrumentationTogglesChargeCycles(t *testing.T) {
 		f := NewProxy("m0/vm0/app", 1e9, &fastOutput{})
 		f.SetTimeCountersEnabled(timers)
 		h.deliver(1 << 20)
-		budget := dataplane.NewCycleBudget(2.5e6)
-		ctx := &machine.AppContext{Now: 0, Dt: time.Millisecond, VM: h.vm, VCPU: budget, Bus: dataplane.NewMembusBudget(1 << 30)}
+		budget := cycleBudget(2.5e6)
+		ctx := &machine.AppContext{Now: 0, Dt: time.Millisecond, VM: h.vm, VCPU: budget, Bus: busBudget(1 << 30)}
 		f.Step(ctx)
 		return budget.Spent()
 	}
@@ -289,8 +303,8 @@ func TestTranscoderBusyWaitNeverBlocks(t *testing.T) {
 	if f.CPUDemand(time.Millisecond) < 2.4e6 {
 		t.Fatal("transcoder must demand the whole core")
 	}
-	budget := dataplane.NewCycleBudget(2.5e6)
-	ctx := &machine.AppContext{Now: 0, Dt: time.Millisecond, VM: h.vm, VCPU: budget, Bus: dataplane.NewMembusBudget(1 << 30)}
+	budget := cycleBudget(2.5e6)
+	ctx := &machine.AppContext{Now: 0, Dt: time.Millisecond, VM: h.vm, VCPU: budget, Bus: busBudget(1 << 30)}
 	f.Step(ctx) // no input at all
 	// The spinner burns ~90% of the slice (it cannot starve the guest
 	// kernel outright).

@@ -19,71 +19,50 @@ func (w *workTicker) Tick(now, dt time.Duration) {
 	w.state = x
 }
 
-// TestTickAllocBudget pins the steady-state per-tick allocation cost of
-// BOTH engines at its measured value: once tickers are registered and the
-// worker pool is warm, a tick must not allocate — neither in the serial
-// loop nor in the parallel dispatch/barrier machinery.
-func TestTickAllocBudget(t *testing.T) {
-	const budget = 0
-	serial := NewEngine(time.Millisecond)
-	for i := 0; i < 64; i++ {
-		serial.Add(&workTicker{state: uint64(i)})
-	}
-	serial.Step() // warm
-	gotSerial := testing.AllocsPerRun(200, serial.Step)
-	t.Logf("serial Engine.Step allocs/op = %.2f (budget %d)", gotSerial, budget)
-	if gotSerial > budget {
-		t.Fatalf("serial Engine.Step allocs/op = %.2f exceeds budget %d", gotSerial, budget)
-	}
-
-	par := NewParallelEngine(time.Millisecond, 8, 2, 4, 1)
-	defer par.Close()
-	for i := 0; i < 8; i++ {
-		d := par.Domain(i)
-		for j := 0; j < 8; j++ {
-			d.Add(0, &workTicker{state: uint64(i*8 + j)})
-			d.Add(1, &workTicker{state: uint64(i*8+j) ^ 0xFF})
+// loadEngine registers 64 workTickers on e, spread evenly over its
+// domains and both phases.
+func loadEngine(e *ParallelEngine) {
+	per := 32 / e.Domains()
+	for i := 0; i < e.Domains(); i++ {
+		d := e.Domain(i)
+		for j := 0; j < per; j++ {
+			d.Add(0, &workTicker{state: uint64(i*per + j)})
+			d.Add(1, &workTicker{state: uint64(i*per+j) ^ 0xFF})
 		}
 	}
-	par.AddCommit(&workTicker{})
-	par.Step() // warm: spins up the worker pool
-	gotPar := testing.AllocsPerRun(200, par.Step)
-	t.Logf("ParallelEngine.Step allocs/op = %.2f (budget %d)", gotPar, budget)
-	if gotPar > budget {
-		t.Fatalf("ParallelEngine.Step allocs/op = %.2f exceeds budget %d", gotPar, budget)
+}
+
+// TestTickAllocBudget pins the steady-state per-tick allocation cost of the
+// engine at its measured value, in the cluster's default one-domain,
+// one-worker shape and sharded over a warm worker pool: once tickers are
+// registered, a tick must not allocate — neither in the serial loop nor in
+// the parallel dispatch/barrier machinery.
+func TestTickAllocBudget(t *testing.T) {
+	const budget = 0
+	for _, shape := range []struct{ domains, workers int }{{1, 1}, {8, 4}} {
+		e := NewParallelEngine(time.Millisecond, shape.domains, 2, shape.workers, 1)
+		loadEngine(e)
+		e.AddCommit(&workTicker{})
+		e.Step() // warm: spins up the worker pool, if any
+		got := testing.AllocsPerRun(200, e.Step)
+		e.Close()
+		t.Logf("domains=%d workers=%d Step allocs/op = %.2f (budget %d)", shape.domains, shape.workers, got, budget)
+		if got > budget {
+			t.Fatalf("domains=%d workers=%d Step allocs/op = %.2f exceeds budget %d", shape.domains, shape.workers, got, budget)
+		}
 	}
 }
 
-// BenchmarkEngineTick measures the serial engine's per-tick overhead with
-// 64 registered tickers.
-func BenchmarkEngineTick(b *testing.B) {
-	e := NewEngine(time.Millisecond)
-	for i := 0; i < 64; i++ {
-		e.Add(&workTicker{state: uint64(i)})
-	}
-	e.Step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
-// BenchmarkParallelEngineTick measures the parallel engine's per-tick
-// overhead (dispatch + two barriers + commit) with the same 64 tickers
-// spread over 8 domains.
+// BenchmarkParallelEngineTick measures the engine's per-tick overhead with
+// 64 registered tickers: on one domain (the cluster's default engine), and
+// spread over 8 domains, where it pays dispatch plus two barriers.
 func BenchmarkParallelEngineTick(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			e := NewParallelEngine(time.Millisecond, 8, 2, workers, 1)
+	for _, shape := range []struct{ domains, workers int }{{1, 1}, {8, 1}, {8, 2}, {8, 4}} {
+		name := "domains=" + strconv.Itoa(shape.domains) + "/workers=" + strconv.Itoa(shape.workers)
+		b.Run(name, func(b *testing.B) {
+			e := NewParallelEngine(time.Millisecond, shape.domains, 2, shape.workers, 1)
 			defer e.Close()
-			for i := 0; i < 8; i++ {
-				d := e.Domain(i)
-				for j := 0; j < 4; j++ {
-					d.Add(0, &workTicker{state: uint64(i*4 + j)})
-					d.Add(1, &workTicker{state: uint64(i*4+j) ^ 0xFF})
-				}
-			}
+			loadEngine(e)
 			e.Step()
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -19,9 +19,9 @@ type Fault struct {
 }
 
 // Chaos is a seeded, schedulable fault injector. It implements Ticker and is
-// meant to run in the serial pre phase of an engine (or as an ordinary ticker
-// on the serial engine), so faults always land between ticks, never inside
-// one — identical placement under serial and parallel execution.
+// meant to run in the serial pre phase of the engine (ParallelEngine.AddPre,
+// Cluster.AddPreTick), so faults always land between ticks, never inside
+// one — identical placement at any domain and worker count.
 //
 // Randomness for fault placement comes from the injector's own RNG stream, so
 // chaotic scenarios stay deterministic per seed: same seed, same fault times,

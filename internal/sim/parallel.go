@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -114,9 +113,6 @@ func domainSeed(seed uint64, id int) uint64 {
 // Domains returns the number of tick domains.
 func (e *ParallelEngine) Domains() int { return len(e.domains) }
 
-// Workers returns the worker-pool size.
-func (e *ParallelEngine) Workers() int { return e.workers }
-
 // Domain returns domain i.
 func (e *ParallelEngine) Domain(i int) *Domain { return e.domains[i] }
 
@@ -202,8 +198,10 @@ func (e *ParallelEngine) Step() {
 	}
 }
 
-// Run advances virtual time by at least d, rounded up to whole ticks
-// (same contract as Engine.Run).
+// Run advances virtual time by at least d. Rounding contract: time only
+// moves in whole ticks, so a d that is not a multiple of the tick size is
+// rounded UP — Run(d) is exactly RunUntil(Now()+d), and Run never silently
+// drops a sub-tick remainder. Run(0) and negative d are no-ops.
 func (e *ParallelEngine) Run(d time.Duration) {
 	if d <= 0 {
 		return
@@ -218,8 +216,8 @@ func (e *ParallelEngine) RunUntil(t time.Duration) {
 	}
 }
 
-// Close stops the worker pool. The engine must not be stepped afterwards.
-// Close is idempotent and safe on engines that never started workers.
+// Close stops the worker pool and marks the engine closed, whether or not
+// it ever started workers: a later Step panics. Close is idempotent.
 func (e *ParallelEngine) Close() {
 	if e.closed {
 		return
@@ -260,9 +258,4 @@ func Partition(n, k int) [][2]int {
 		start += size
 	}
 	return out
-}
-
-// String describes the engine configuration (for logs and experiments).
-func (e *ParallelEngine) String() string {
-	return fmt.Sprintf("ParallelEngine{domains=%d workers=%d dt=%s}", len(e.domains), e.workers, e.dt)
 }

@@ -51,7 +51,7 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 // advances by whole ticks, rounding a sub-tick remainder UP, and agrees
 // with RunUntil.
 func TestEngineRunRoundsUp(t *testing.T) {
-	e := NewEngine(time.Millisecond)
+	e := serialEngine(time.Millisecond)
 	e.Run(2500 * time.Microsecond) // not a multiple of dt
 	if e.Now() != 3*time.Millisecond {
 		t.Fatalf("Run(2.5ms): now = %s, want 3ms (round up to whole ticks)", e.Now())
@@ -62,7 +62,7 @@ func TestEngineRunRoundsUp(t *testing.T) {
 		t.Fatalf("Run(<=0) must be a no-op, now = %s", e.Now())
 	}
 	// Run(d) ≡ RunUntil(Now()+d) for a fresh engine with the same schedule.
-	e2 := NewEngine(time.Millisecond)
+	e2 := serialEngine(time.Millisecond)
 	e2.RunUntil(2500 * time.Microsecond)
 	if e2.Now() != 3*time.Millisecond {
 		t.Fatalf("RunUntil(2.5ms): now = %s, want 3ms", e2.Now())
@@ -214,8 +214,8 @@ func TestChaosFiresInOrder(t *testing.T) {
 	c.At(5*time.Millisecond, "b", rec("b"))
 	c.At(2*time.Millisecond, "a", rec("a"))
 	c.Window(5*time.Millisecond, 8*time.Millisecond, "w", rec("w+"), rec("w-"))
-	e := NewEngine(time.Millisecond)
-	e.Add(c)
+	e := serialEngine(time.Millisecond)
+	e.AddPre(c)
 	e.Run(10 * time.Millisecond)
 	want := "[a@2ms b@5ms w+@5ms w-@8ms]"
 	if got := fmt.Sprint(fired); got != want {
@@ -230,8 +230,8 @@ func TestChaosFiresInOrder(t *testing.T) {
 // fires on the next tick, not never.
 func TestChaosLateSchedule(t *testing.T) {
 	c := NewChaos(1)
-	e := NewEngine(time.Millisecond)
-	e.Add(c)
+	e := serialEngine(time.Millisecond)
+	e.AddPre(c)
 	e.Run(5 * time.Millisecond)
 	var at time.Duration
 	c.At(time.Millisecond, "late", func(now time.Duration) { at = now })

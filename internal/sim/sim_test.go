@@ -1,14 +1,19 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
+// serialEngine is the cluster's default shape: one domain, one phase, one
+// worker, which is the plain serial tick loop.
+func serialEngine(dt time.Duration) *ParallelEngine { return NewParallelEngine(dt, 1, 1, 1, 0) }
+
 func TestEngineStepAdvancesClock(t *testing.T) {
-	e := NewEngine(time.Millisecond)
+	e := serialEngine(time.Millisecond)
 	if e.Now() != 0 {
 		t.Fatalf("fresh engine at %v", e.Now())
 	}
@@ -23,21 +28,26 @@ func TestEngineStepAdvancesClock(t *testing.T) {
 }
 
 func TestEngineDefaultTick(t *testing.T) {
-	e := NewEngine(0)
+	e := serialEngine(0)
 	if e.Dt() != DefaultTick {
 		t.Fatalf("dt = %v; want %v", e.Dt(), DefaultTick)
 	}
 }
 
+// TestEngineTickerOrderAndArgs: pre tickers, then the domain's phase
+// tickers, then commit tickers, each in registration order whatever order
+// the stages were registered in, all called with the tick's end time.
 func TestEngineTickerOrderAndArgs(t *testing.T) {
-	e := NewEngine(time.Millisecond)
+	e := serialEngine(time.Millisecond)
 	var order []int
 	var gotNow time.Duration
 	var gotDt time.Duration
-	e.AddFunc(func(now, dt time.Duration) { order = append(order, 1); gotNow, gotDt = now, dt })
-	e.AddFunc(func(now, dt time.Duration) { order = append(order, 2) })
+	e.AddCommitFunc(func(now, dt time.Duration) { order = append(order, 4) })
+	e.Domain(0).AddFunc(0, func(now, dt time.Duration) { order = append(order, 2); gotNow, gotDt = now, dt })
+	e.Domain(0).AddFunc(0, func(now, dt time.Duration) { order = append(order, 3) })
+	e.AddPreFunc(func(now, dt time.Duration) { order = append(order, 1) })
 	e.Step()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+	if fmt.Sprint(order) != "[1 2 3 4]" {
 		t.Fatalf("ticker order %v", order)
 	}
 	if gotNow != time.Millisecond || gotDt != time.Millisecond {
@@ -46,7 +56,7 @@ func TestEngineTickerOrderAndArgs(t *testing.T) {
 }
 
 func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine(time.Millisecond)
+	e := serialEngine(time.Millisecond)
 	e.RunUntil(5 * time.Millisecond)
 	if e.Now() != 5*time.Millisecond {
 		t.Fatalf("RunUntil landed at %v", e.Now())
@@ -58,7 +68,7 @@ func TestEngineRunUntil(t *testing.T) {
 }
 
 func TestFairShareUnderloaded(t *testing.T) {
-	alloc := FairShare(100, []float64{10, 20, 30})
+	alloc := FairShareInto(nil, 100, []float64{10, 20, 30})
 	want := []float64{10, 20, 30}
 	for i := range want {
 		if alloc[i] != want[i] {
@@ -68,7 +78,7 @@ func TestFairShareUnderloaded(t *testing.T) {
 }
 
 func TestFairShareOverloadedEqualSplit(t *testing.T) {
-	alloc := FairShare(90, []float64{100, 100, 100})
+	alloc := FairShareInto(nil, 90, []float64{100, 100, 100})
 	for i, a := range alloc {
 		if math.Abs(a-30) > 1e-9 {
 			t.Fatalf("alloc[%d] = %v; want 30", i, a)
@@ -78,7 +88,7 @@ func TestFairShareOverloadedEqualSplit(t *testing.T) {
 
 func TestFairShareWaterFilling(t *testing.T) {
 	// Small demand fully satisfied; the rest split the remainder.
-	alloc := FairShare(100, []float64{10, 200, 200})
+	alloc := FairShareInto(nil, 100, []float64{10, 200, 200})
 	if alloc[0] != 10 {
 		t.Fatalf("small claim got %v; want 10", alloc[0])
 	}
@@ -88,7 +98,7 @@ func TestFairShareWaterFilling(t *testing.T) {
 }
 
 func TestFairShareZeroAndNegativeDemands(t *testing.T) {
-	alloc := FairShare(100, []float64{0, -5, 50})
+	alloc := FairShareInto(nil, 100, []float64{0, -5, 50})
 	if alloc[0] != 0 || alloc[1] != 0 {
 		t.Fatalf("non-positive demands allocated: %v", alloc)
 	}
@@ -98,7 +108,7 @@ func TestFairShareZeroAndNegativeDemands(t *testing.T) {
 }
 
 func TestFairShareZeroCapacity(t *testing.T) {
-	alloc := FairShare(0, []float64{1, 2})
+	alloc := FairShareInto(nil, 0, []float64{1, 2})
 	if alloc[0] != 0 || alloc[1] != 0 {
 		t.Fatalf("zero capacity allocated %v", alloc)
 	}
@@ -135,7 +145,7 @@ func TestFairShareProperties(t *testing.T) {
 			demands[i] = float64(d)
 			total += float64(d)
 		}
-		alloc := FairShare(capacity, demands)
+		alloc := FairShareInto(nil, capacity, demands)
 		if len(alloc) != len(demands) {
 			return false
 		}
@@ -167,46 +177,9 @@ func TestFairShareProperties(t *testing.T) {
 	}
 }
 
-func TestWeightedFairShare(t *testing.T) {
-	// Weight 2 gets twice the share of weight 1 when both are trimmed.
-	alloc := WeightedFairShare(90, []float64{100, 100}, []float64{1, 2})
-	if math.Abs(alloc[0]-30) > 1e-9 || math.Abs(alloc[1]-60) > 1e-9 {
-		t.Fatalf("weighted alloc = %v; want [30 60]", alloc)
-	}
-	// Underloaded: everyone gets demand regardless of weight.
-	alloc = WeightedFairShare(300, []float64{100, 100}, []float64{1, 2})
-	if alloc[0] != 100 || alloc[1] != 100 {
-		t.Fatalf("underloaded weighted alloc = %v", alloc)
-	}
-}
-
-func TestWeightedFairShareMismatchedLensPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on mismatched lengths")
-		}
-	}()
-	WeightedFairShare(1, []float64{1}, []float64{1, 2})
-}
-
-func TestBytesInAndBitsPerSec(t *testing.T) {
+func TestBytesIn(t *testing.T) {
 	if got := BytesIn(8e9, time.Millisecond); got != 1e6 {
 		t.Fatalf("BytesIn(8Gbps, 1ms) = %d; want 1e6", got)
-	}
-	if got := BitsPerSec(1e6, time.Millisecond); got != 8e9 {
-		t.Fatalf("BitsPerSec(1e6, 1ms) = %g; want 8e9", got)
-	}
-	if got := BitsPerSec(100, 0); got != 0 {
-		t.Fatalf("BitsPerSec with zero interval = %g", got)
-	}
-}
-
-func TestRateHelpers(t *testing.T) {
-	if Mbps(5e6) != 5 {
-		t.Fatalf("Mbps(5e6) = %g", Mbps(5e6))
-	}
-	if Gbps(5e9) != 5 {
-		t.Fatalf("Gbps(5e9) = %g", Gbps(5e9))
 	}
 }
 
@@ -268,25 +241,6 @@ func TestRNGJitterBounds(t *testing.T) {
 		if v < 95 || v > 105 {
 			t.Fatalf("jitter out of bounds: %v", v)
 		}
-	}
-}
-
-func TestRNGNormalMoments(t *testing.T) {
-	r := NewRNG(11)
-	var sum, sq float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		v := r.Normal(10, 2)
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	std := math.Sqrt(sq/n - mean*mean)
-	if math.Abs(mean-10) > 0.1 {
-		t.Fatalf("mean %v; want ~10", mean)
-	}
-	if math.Abs(std-2) > 0.15 {
-		t.Fatalf("std %v; want ~2", std)
 	}
 }
 
