@@ -15,7 +15,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -333,12 +332,6 @@ func (r Record) String() string {
 	}
 	b.WriteString(">")
 	return b.String()
-}
-
-// SortAttrs orders the record's attributes by canonical name, for stable
-// output on the JSON surfaces (names, not IDs, are what consumers see).
-func (r *Record) SortAttrs() {
-	sort.Slice(r.Attrs, func(i, j int) bool { return AttrName(r.Attrs[i].ID) < AttrName(r.Attrs[j].ID) })
 }
 
 // Element is the abstraction at the heart of PerfSight (§4.1): a logical

@@ -151,14 +151,6 @@ func TestRecordString(t *testing.T) {
 	}
 }
 
-func TestRecordSortAttrs(t *testing.T) {
-	r := Record{Attrs: []Attr{NamedAttr("z", 0), NamedAttr("a", 0), NamedAttr("m", 0)}}
-	r.SortAttrs()
-	if r.Attrs[0].Name() != "a" || r.Attrs[2].Name() != "z" {
-		t.Fatalf("sorted attrs: %v", r.Attrs)
-	}
-}
-
 func TestTopologyNetAndAdd(t *testing.T) {
 	topo := NewTopology()
 	n := topo.Net("t1")

@@ -55,6 +55,32 @@ func TestAppendAllocBudget(t *testing.T) {
 	}
 }
 
+// TestIntervalsAllocBudget pins the allocation cost of one Intervals
+// call over a 45-element, 8-attr tenant at its measured value: the
+// element list, the result map, and one slab holding every Cur and Prev
+// attr.
+func TestIntervalsAllocBudget(t *testing.T) {
+	const budget = 6
+	s := New(Config{})
+	for e := 0; e < 45; e++ {
+		eid := core.ElementID("m0/el" + strconv.Itoa(e))
+		for i := int64(1); i <= 16; i++ {
+			rec := benchRecord(eid, i*int64(time.Second))
+			rec.Attrs = append(rec.Attrs, core.Attr{ID: core.AttrQueueCap, Value: 64})
+			s.Append(testTenant, rec)
+		}
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if ivs := s.Intervals(testTenant, nil, 3*time.Second, 0); len(ivs) != 45 {
+			t.Fatalf("Intervals = %d elements, want 45", len(ivs))
+		}
+	})
+	t.Logf("Intervals allocs/op = %.2f (budget %d)", got, budget)
+	if got > budget {
+		t.Fatalf("Intervals allocs/op = %.2f exceeds budget %d", got, budget)
+	}
+}
+
 // BenchmarkHistoryAppend measures the flight recorder's per-record write
 // cost at steady state (rings full, step-down active).
 func BenchmarkHistoryAppend(b *testing.B) {

@@ -17,6 +17,7 @@ package history
 
 import (
 	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -117,26 +118,53 @@ func (r *ring) popOldest() Point {
 	return p
 }
 
+// runs returns the live points as the ring's two ascending runs: the
+// older one from head to the end of buf, then the wrapped newer one.
+func (r *ring) runs() (older, newer []Point) {
+	if end := r.head + r.n; end > len(r.buf) {
+		return r.buf[r.head:], r.buf[:end-len(r.buf)]
+	}
+	return r.buf[r.head : r.head+r.n], nil
+}
+
+// search returns the index of the first point of the ascending run with
+// TS > t, or with TS >= t when incl is set.
+func search(run []Point, t int64, incl bool) int {
+	lo, hi := 0, len(run)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ts := run[m].TS; ts > t || incl && ts == t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
 // before returns the newest point with TS <= t.
 func (r *ring) before(t int64) (Point, bool) {
-	// First logical index with TS > t.
-	i := sort.Search(r.n, func(i int) bool { return r.at(i).TS > t })
-	if i == 0 {
-		return Point{}, false
+	older, newer := r.runs()
+	if i := search(newer, t, false); i > 0 {
+		return newer[i-1], true
 	}
-	return r.at(i - 1), true
+	if i := search(older, t, false); i > 0 {
+		return older[i-1], true
+	}
+	return Point{}, false
 }
 
 // scan calls fn for every point with from <= TS <= to, oldest first.
 func (r *ring) scan(from, to int64, fn func(Point) bool) bool {
-	i := sort.Search(r.n, func(i int) bool { return r.at(i).TS >= from })
-	for ; i < r.n; i++ {
-		p := r.at(i)
-		if p.TS > to {
-			return true
-		}
-		if !fn(p) {
-			return false
+	older, newer := r.runs()
+	for _, run := range [2][]Point{older, newer} {
+		for _, p := range run[search(run, from, true):] {
+			if p.TS > to {
+				return true
+			}
+			if !fn(p) {
+				return false
+			}
 		}
 	}
 	return true
@@ -164,9 +192,18 @@ type blobSample struct {
 	blob []byte
 }
 
-// elemSeries groups the attr series of one element.
+// namedSeries is one entry of an element's name-ordered series list.
+type namedSeries struct {
+	id core.AttrID
+	sr *series
+}
+
+// elemSeries groups the attr series of one element. attrs finds a series
+// by ID; byName holds the same series in core.AttrName order, so a read
+// emits a record's attrs already sorted.
 type elemSeries struct {
 	attrs  map[core.AttrID]*series
+	byName []namedSeries
 	blobs  map[core.AttrID]blobSample
 	lastTS int64
 }
@@ -194,6 +231,11 @@ type Store struct {
 	seed   maphash.Seed
 	shards []shard
 
+	// idxMu guards idx, each tenant's recorded elements, sorted. An
+	// element enters it once its group exists and never leaves.
+	idxMu sync.RWMutex
+	idx   map[core.TenantID][]core.ElementID
+
 	series      atomic.Int64
 	elements    atomic.Int64
 	resident    atomic.Int64
@@ -207,7 +249,8 @@ type Store struct {
 // New builds a store with the given bounds (zero fields take defaults).
 func New(cfg Config) *Store {
 	cfg = cfg.withDefaults()
-	s := &Store{cfg: cfg, seed: maphash.MakeSeed(), shards: make([]shard, cfg.Shards)}
+	s := &Store{cfg: cfg, seed: maphash.MakeSeed(), shards: make([]shard, cfg.Shards),
+		idx: make(map[core.TenantID][]core.ElementID)}
 	for i := range s.shards {
 		s.shards[i].elems = make(map[elemKey]*elemSeries)
 	}
@@ -239,6 +282,7 @@ func (s *Store) Append(tid core.TenantID, rec core.Record) {
 		es = &elemSeries{attrs: make(map[core.AttrID]*series, len(rec.Attrs))}
 		sh.elems[k] = es
 		s.elements.Add(1)
+		s.index(k)
 	}
 	if rec.Timestamp > es.lastTS {
 		es.lastTS = rec.Timestamp
@@ -251,6 +295,9 @@ func (s *Store) Append(tid core.TenantID, rec core.Record) {
 				down: newRing(s.cfg.downCap()),
 			}
 			es.attrs[a.ID] = sr
+			name := core.AttrName(a.ID)
+			i := sort.Search(len(es.byName), func(i int) bool { return core.AttrName(es.byName[i].id) > name })
+			es.byName = slices.Insert(es.byName, i, namedSeries{a.ID, sr})
 			s.series.Add(1)
 		}
 		s.appendPoint(sr, Point{TS: rec.Timestamp, V: a.Value})
@@ -266,6 +313,15 @@ func (s *Store) Append(tid core.TenantID, rec core.Record) {
 		}
 	}
 	sh.mu.Unlock()
+}
+
+// index lists a new element group under its tenant.
+func (s *Store) index(k elemKey) {
+	s.idxMu.Lock()
+	ids := s.idx[k.Tenant]
+	i, _ := slices.BinarySearch(ids, k.Element)
+	s.idx[k.Tenant] = slices.Insert(ids, i, k.Element)
+	s.idxMu.Unlock()
 }
 
 // appendPoint pushes p into the series, stepping evicted raw points down
@@ -335,38 +391,21 @@ func (s *Store) MaxResident() int64 {
 
 // Tenants lists tenants with stored history, sorted.
 func (s *Store) Tenants() []core.TenantID {
-	seen := make(map[core.TenantID]bool)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k := range sh.elems {
-			seen[k.Tenant] = true
-		}
-		sh.mu.RUnlock()
-	}
-	out := make([]core.TenantID, 0, len(seen))
-	for t := range seen {
+	s.idxMu.RLock()
+	out := make([]core.TenantID, 0, len(s.idx))
+	for t := range s.idx {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	s.idxMu.RUnlock()
+	slices.Sort(out)
 	return out
 }
 
 // Elements lists the tenant's recorded elements, sorted.
 func (s *Store) Elements(tid core.TenantID) []core.ElementID {
-	var out []core.ElementID
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k := range sh.elems {
-			if k.Tenant == tid {
-				out = append(out, k.Element)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	s.idxMu.RLock()
+	defer s.idxMu.RUnlock()
+	return slices.Clone(s.idx[tid])
 }
 
 // Attrs lists the recorded attribute names of one element, sorted.
@@ -436,8 +475,9 @@ func (s *Store) Series(tid core.TenantID, eid core.ElementID, attr string, from,
 }
 
 // At reconstructs the element's record as of asOf: for every recorded
-// attr, the newest stored value at or before asOf. The record carries the
-// newest such sample timestamp. asOf <= 0 means "newest".
+// attr, the newest stored value at or before asOf, attrs in name order.
+// The record carries the newest such sample timestamp. asOf <= 0 means
+// "newest".
 func (s *Store) At(tid core.TenantID, eid core.ElementID, asOf int64) (core.Record, bool) {
 	k := elemKey{tid, eid}
 	sh := s.shardOf(k)
@@ -450,19 +490,25 @@ func (s *Store) At(tid core.TenantID, eid core.ElementID, asOf int64) (core.Reco
 	if asOf <= 0 {
 		asOf = es.lastTS
 	}
-	rec := core.Record{Element: eid}
-	for id, sr := range es.attrs {
-		p, ok := sr.raw.before(asOf)
+	return es.record(eid, asOf, make([]core.Attr, 0, len(es.byName)))
+}
+
+// record builds the element's record as of asOf (> 0) into dst, whose
+// capacity must hold len(es.byName) attrs.
+func (es *elemSeries) record(eid core.ElementID, asOf int64, dst []core.Attr) (core.Record, bool) {
+	rec := core.Record{Element: eid, Attrs: dst}
+	for _, ns := range es.byName {
+		p, ok := ns.sr.raw.before(asOf)
 		if !ok {
-			p, ok = sr.down.before(asOf)
+			p, ok = ns.sr.down.before(asOf)
 		}
 		if !ok {
 			continue
 		}
-		a := core.Attr{ID: id, Value: p.V}
+		a := core.Attr{ID: ns.id, Value: p.V}
 		// Attach the stored summary blob when it had been produced by
 		// asOf; queries into deeper history get the epoch series alone.
-		if bs, hasBlob := es.blobs[id]; hasBlob && bs.ts <= asOf {
+		if bs, hasBlob := es.blobs[ns.id]; hasBlob && bs.ts <= asOf {
 			a.Payload = bs.blob
 		}
 		rec.Attrs = append(rec.Attrs, a)
@@ -473,7 +519,6 @@ func (s *Store) At(tid core.TenantID, eid core.ElementID, asOf int64) (core.Reco
 	if len(rec.Attrs) == 0 {
 		return core.Record{}, false
 	}
-	rec.SortAttrs()
 	return rec, true
 }
 
@@ -481,14 +526,47 @@ func (s *Store) At(tid core.TenantID, eid core.ElementID, asOf int64) (core.Reco
 // window ending at asOf (asOf <= 0 means newest): the Cur snapshot is the
 // record at asOf, the Prev snapshot the record one window earlier.
 func (s *Store) Interval(tid core.TenantID, eid core.ElementID, window time.Duration, asOf int64) (controller.Interval, bool) {
-	cur, ok := s.At(tid, eid, asOf)
+	var slab []core.Attr
+	return s.interval(tid, eid, window, asOf, &slab, 1)
+}
+
+// interval reads both edges of one element's interval under a single
+// shard lock. Cur and Prev attrs are carved from *slab with three-index
+// slices, so a caller's append to one reallocates rather than overwriting
+// the other; when *slab is short it is replaced by one sized for left
+// more elements like this one.
+func (s *Store) interval(tid core.TenantID, eid core.ElementID, window time.Duration, asOf int64, slab *[]core.Attr, left int) (controller.Interval, bool) {
+	k := elemKey{tid, eid}
+	sh := s.shardOf(k)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	es := sh.elems[k]
+	if es == nil {
+		return controller.Interval{}, false
+	}
+	if asOf <= 0 {
+		asOf = es.lastTS
+	}
+	n := len(es.byName)
+	if len(*slab) < 2*n {
+		*slab = make([]core.Attr, 2*n*left)
+	}
+	buf := *slab
+	cur, ok := es.record(eid, asOf, buf[:0:n])
 	if !ok {
 		return controller.Interval{}, false
 	}
-	prev, ok := s.At(tid, eid, cur.Timestamp-int64(window))
+	// Prev is At(edge), and At(<= 0) means "newest", which is never
+	// older than cur: a window reaching back to or past zero has no Prev.
+	edge := cur.Timestamp - int64(window)
+	if edge <= 0 {
+		return controller.Interval{}, false
+	}
+	prev, ok := es.record(eid, edge, buf[n:n:2*n])
 	if !ok || prev.Timestamp >= cur.Timestamp {
 		return controller.Interval{}, false
 	}
+	*slab = buf[2*n:]
 	return controller.Interval{Prev: prev, Cur: cur}, true
 }
 
@@ -501,8 +579,9 @@ func (s *Store) Intervals(tid core.TenantID, ids []core.ElementID, window time.D
 		ids = s.Elements(tid)
 	}
 	out := make(map[core.ElementID]controller.Interval, len(ids))
-	for _, id := range ids {
-		if iv, ok := s.Interval(tid, id, window, asOf); ok {
+	var slab []core.Attr
+	for i, id := range ids {
+		if iv, ok := s.interval(tid, id, window, asOf, &slab, len(ids)-i); ok {
 			out[id] = iv
 		}
 	}
