@@ -45,7 +45,7 @@ func main() {
 	cadenceMin := flag.Duration("cadence-min", agent.DefaultCadenceMin, "fastest push cadence this agent will stream at, whatever the controller asks for")
 	cadenceMax := flag.Duration("cadence-max", agent.DefaultCadenceMax, "slowest push cadence the stream decays to while counters are quiescent")
 	pprofFlag := flag.Bool("pprof", false, "expose Go profiling endpoints (/debug/pprof/*) on the -telemetry address")
-	flowStats := flag.String("flow-stats", "sketch", "per-flow statistics mode: sketch (constant-memory count-min + top-k summary) or exact (legacy per-rule enumeration, O(flows) attrs)")
+	flowStats := flag.String("flow-stats", "sketch", "per-flow statistics mode: sketch (bounded-memory count-min + top-k summary) or exact (legacy per-rule enumeration, O(flows) attrs)")
 	sketchWidth := flag.Int("sketch-width", 0, "count-min sketch counters per row (0 = default 4096; error bound ε = e/width)")
 	sketchDepth := flag.Int("sketch-depth", 0, "count-min sketch rows (0 = default 4; confidence 1−e^−depth)")
 	sketchTopK := flag.Int("sketch-topk", 0, "heavy-hitter table capacity (0 = default 64)")

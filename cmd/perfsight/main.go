@@ -27,7 +27,7 @@
 //	perfsight incidents -follow
 //
 // The flows subcommand ranks an element's per-flow traffic, heaviest
-// first — from the constant-memory flow_sketch summary when the agent
+// first — from the bounded-memory flow_sketch summary when the agent
 // runs -flow-stats=sketch (heavy hitters with exactness flags plus the
 // ε·N bound for everything else), or from legacy rule_* enumeration:
 //

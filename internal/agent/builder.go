@@ -128,7 +128,7 @@ func Build(m *machine.Machine, opts BuildOptions) (*Agent, error) {
 	a.Register(&DirectAdapter{E: stack.Napi, Latency: lat.Direct})
 
 	// Virtual switch over its control channel. In sketch mode the switch
-	// feeds its datapath into a constant-memory flow summary, the adapter
+	// feeds its datapath into a bounded-memory flow summary, the adapter
 	// fetches it via DUMP-SKETCH, and the agent advertises the capability
 	// (old controllers still negotiate down to legacy enumeration).
 	if opts.FlowStats == FlowStatsSketch {

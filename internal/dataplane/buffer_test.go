@@ -9,6 +9,24 @@ import (
 	"perfsight/internal/core"
 )
 
+// SumPackets returns the total packets across batches.
+func SumPackets(batches []Batch) int {
+	n := 0
+	for _, b := range batches {
+		n += b.Packets
+	}
+	return n
+}
+
+// SumBytes returns the total bytes across batches.
+func SumBytes(batches []Batch) int64 {
+	var n int64
+	for _, b := range batches {
+		n += b.Bytes
+	}
+	return n
+}
+
 func TestBatchSplitPacketsConserves(t *testing.T) {
 	b := Batch{Flow: "f", Packets: 10, Bytes: 1000}
 	head, tail := b.SplitPackets(3)

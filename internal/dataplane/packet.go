@@ -111,21 +111,3 @@ func (b Batch) NotifyDelivered() {
 		b.FB.Delivered(b.Packets, b.Bytes)
 	}
 }
-
-// SumPackets returns the total packets across batches.
-func SumPackets(batches []Batch) int {
-	n := 0
-	for _, b := range batches {
-		n += b.Packets
-	}
-	return n
-}
-
-// SumBytes returns the total bytes across batches.
-func SumBytes(batches []Batch) int64 {
-	var n int64
-	for _, b := range batches {
-		n += b.Bytes
-	}
-	return n
-}

@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 )
 
-// FlowSketch summarizes per-flow traffic in constant memory: a count-min
+// FlowSketch summarizes per-flow traffic in bounded memory: a count-min
 // sketch (conservative update, separate packet and byte planes) paired
 // with an exact top-k heavy-hitter table, maintained inline on the
 // VSwitch datapath. It replaces the O(flows) per-rule counter
@@ -18,6 +18,13 @@ import (
 // whose tail estimates obey the classic count-min bound: estimate ≥
 // true, and P[estimate − true > ε·N] ≤ δ with ε = e/width, δ = e^−depth
 // (the "Lean Algorithms" sketch pair, arXiv:1911.06951).
+//
+// Memory: the planes are stored in fixed-size pages allocated on the
+// first write that raises one of their cells, and a page never written
+// reads as zeros. Resident size therefore grows with the cells the
+// observed flows touch (Depth per flow), up to the dense bound that
+// MemoryBytes reports; estimates and encoded blobs are those of dense
+// planes.
 //
 // Concurrency: flows hash onto a fixed set of stripes, each owning its
 // own sketch planes and top-k table behind a private mutex, so datapath
@@ -95,17 +102,28 @@ type topEntry struct {
 	errBytes uint64
 }
 
+// sketchPageCells is the number of plane cells per page (a 1 KB page).
+const sketchPageCells = 64
+
+// sketchCell is one count-min cell of both planes: a flow's packet and
+// byte counters always sit at the same index, so one lookup serves both.
+type sketchCell struct{ pkts, bytes uint64 }
+
+// sketchPage is one page of a stripe's planes.
+type sketchPage [sketchPageCells]sketchCell
+
 // sketchStripe is one lock stripe: private count-min planes, a top-k
 // table, and the stripe's traffic totals.
 type sketchStripe struct {
-	mu      sync.Mutex
-	pkts    []uint64 // depth × width, row-major
-	bytes   []uint64
+	mu sync.Mutex
+	// pages hold the depth × width cells, row-major, sketchPageCells to a
+	// page; a nil page has never been raised and reads as zeros.
+	pages   []*sketchPage
 	entries []topEntry
 	index   map[FlowID]int
 	totPkts uint64
 	totByts uint64
-	_       [24]byte // pad stripes apart to limit false sharing
+	_       [48]byte // pad stripes to 128 B to limit false sharing
 }
 
 // NewFlowSketch builds a sketch with the given bounds (zero fields take
@@ -115,8 +133,7 @@ func NewFlowSketch(cfg SketchConfig) *FlowSketch {
 	fs := &FlowSketch{cfg: cfg, stripes: make([]sketchStripe, cfg.Stripes)}
 	for i := range fs.stripes {
 		st := &fs.stripes[i]
-		st.pkts = make([]uint64, cfg.Width*cfg.Depth)
-		st.bytes = make([]uint64, cfg.Width*cfg.Depth)
+		st.pages = make([]*sketchPage, (cfg.Width*cfg.Depth+sketchPageCells-1)/sketchPageCells)
 		st.entries = make([]topEntry, 0, cfg.TopK)
 		st.index = make(map[FlowID]int, cfg.TopK)
 	}
@@ -131,8 +148,10 @@ func (f *FlowSketch) Config() SketchConfig { return f.cfg }
 // current epoch differs.
 func (f *FlowSketch) Epoch() uint64 { return f.epoch.Load() }
 
-// MemoryBytes is the sketch's resident footprint, fixed at construction:
-// it does not grow with the number of distinct flows observed.
+// MemoryBytes is the sketch's footprint once every plane page has been
+// written: the dense bound, fixed at construction, that resident size
+// approaches as flows touch more cells. It does not grow past it with the
+// number of distinct flows observed.
 func (f *FlowSketch) MemoryBytes() int {
 	per := 2*f.cfg.Width*f.cfg.Depth*8 + // both planes
 		f.cfg.TopK*int(64) + // top-k entries (flow header + 4 uint64)
@@ -187,26 +206,25 @@ func (f *FlowSketch) Update(flow FlowID, pkts, byts uint64) {
 
 	// Conservative update: raise only the cells below the new estimate,
 	// per plane, so collisions inflate the sketch as little as possible.
-	estP := uint64(math.MaxUint64)
-	estB := uint64(math.MaxUint64)
-	for d := 0; d < f.cfg.Depth; d++ {
-		idx := d*f.cfg.Width + rowIdx(h1, h2, d, width)
-		if st.pkts[idx] < estP {
-			estP = st.pkts[idx]
-		}
-		if st.bytes[idx] < estB {
-			estB = st.bytes[idx]
-		}
-	}
+	estP, estB := st.rowMin(h1, h2, f.cfg.Width, f.cfg.Depth)
 	estP += pkts
 	estB += byts
 	for d := 0; d < f.cfg.Depth; d++ {
 		idx := d*f.cfg.Width + rowIdx(h1, h2, d, width)
-		if st.pkts[idx] < estP {
-			st.pkts[idx] = estP
+		pg := st.pages[idx/sketchPageCells]
+		if pg == nil {
+			if estP == 0 && estB == 0 {
+				continue // a zero cell needs no raise, so no page
+			}
+			pg = new(sketchPage)
+			st.pages[idx/sketchPageCells] = pg
 		}
-		if st.bytes[idx] < estB {
-			st.bytes[idx] = estB
+		c := &pg[idx%sketchPageCells]
+		if c.pkts < estP {
+			c.pkts = estP
+		}
+		if c.bytes < estB {
+			c.bytes = estB
 		}
 	}
 
@@ -248,20 +266,53 @@ func (f *FlowSketch) Estimate(flow FlowID) (pkts, byts uint64) {
 	h1 := fnv1a64(string(flow))
 	h2 := mix64(h1) | 1
 	st := &f.stripes[h1%uint64(len(f.stripes))]
-	width := uint64(f.cfg.Width)
-	pkts, byts = math.MaxUint64, math.MaxUint64
 	st.mu.Lock()
-	for d := 0; d < f.cfg.Depth; d++ {
-		idx := d*f.cfg.Width + rowIdx(h1, h2, d, width)
-		if st.pkts[idx] < pkts {
-			pkts = st.pkts[idx]
-		}
-		if st.bytes[idx] < byts {
-			byts = st.bytes[idx]
-		}
-	}
+	pkts, byts = st.rowMin(h1, h2, f.cfg.Width, f.cfg.Depth)
 	st.mu.Unlock()
 	return pkts, byts
+}
+
+// rowMin returns the flow's per-plane minimum over its depth cells, reading
+// a nil page as zeros without allocating it. The caller holds st.mu.
+func (st *sketchStripe) rowMin(h1, h2 uint64, width, depth int) (pkts, byts uint64) {
+	pkts, byts = math.MaxUint64, math.MaxUint64
+	for d := 0; d < depth; d++ {
+		idx := d*width + rowIdx(h1, h2, d, uint64(width))
+		pg := st.pages[idx/sketchPageCells]
+		if pg == nil {
+			return 0, 0
+		}
+		c := &pg[idx%sketchPageCells]
+		if c.pkts < pkts {
+			pkts = c.pkts
+		}
+		if c.bytes < byts {
+			byts = c.bytes
+		}
+	}
+	return pkts, byts
+}
+
+// appendPlane appends one plane of the stripe's cells as uvarints, a 0
+// for each cell of a nil page. The caller holds st.mu.
+func (st *sketchStripe) appendPlane(dst []byte, cells int, bytes bool) []byte {
+	for i, pg := range st.pages {
+		n := min(sketchPageCells, cells-i*sketchPageCells)
+		if pg == nil {
+			for ; n > 0; n-- {
+				dst = append(dst, 0)
+			}
+			continue
+		}
+		for _, c := range pg[:n] {
+			v := c.pkts
+			if bytes {
+				v = c.bytes
+			}
+			dst = binary.AppendUvarint(dst, v)
+		}
+	}
+	return dst
 }
 
 // Totals returns the total packets and bytes observed (the N of the
@@ -352,21 +403,13 @@ func (f *FlowSketch) AppendEncode(dst []byte) []byte {
 	}
 
 	if cfg.WirePlanes {
-		for i := range f.stripes {
-			st := &f.stripes[i]
-			st.mu.Lock()
-			for _, c := range st.pkts {
-				dst = binary.AppendUvarint(dst, c)
+		for _, bytes := range [2]bool{false, true} {
+			for i := range f.stripes {
+				st := &f.stripes[i]
+				st.mu.Lock()
+				dst = st.appendPlane(dst, cfg.Width*cfg.Depth, bytes)
+				st.mu.Unlock()
 			}
-			st.mu.Unlock()
-		}
-		for i := range f.stripes {
-			st := &f.stripes[i]
-			st.mu.Lock()
-			for _, c := range st.bytes {
-				dst = binary.AppendUvarint(dst, c)
-			}
-			st.mu.Unlock()
 		}
 	}
 	return dst

@@ -244,11 +244,28 @@ func TestSketchEpochAdvances(t *testing.T) {
 // TestDecodeSketchRejectsHostileBlobs: every malformed-input class the
 // decoder guards against must error, not panic or allocate per claim.
 func TestDecodeSketchRejectsHostileBlobs(t *testing.T) {
+	for name, blob := range hostileSketchBlobs() {
+		if _, err := DecodeSketch(blob); err == nil {
+			t.Errorf("%s: decode succeeded", name)
+		}
+	}
+	if _, err := DecodeSketch(goodSketchBlob()); err != nil {
+		t.Fatalf("control blob rejected: %v", err)
+	}
+}
+
+// goodSketchBlob is the well-formed blob the hostile cases are cut from.
+func goodSketchBlob() []byte {
 	fs := NewFlowSketch(SketchConfig{Width: 64, Depth: 2, TopK: 4, Stripes: 1})
 	fs.Update("x", 3, 300)
-	good := fs.Encode()
+	return fs.Encode()
+}
 
-	cases := map[string][]byte{
+// hostileSketchBlobs holds one malformed blob per input class the
+// decoder guards against.
+func hostileSketchBlobs() map[string][]byte {
+	good := goodSketchBlob()
+	return map[string][]byte{
 		"empty":           {},
 		"short":           good[:3],
 		"bad magic":       append([]byte{'X', 'Y'}, good[2:]...),
@@ -258,14 +275,6 @@ func TestDecodeSketchRejectsHostileBlobs(t *testing.T) {
 		"zero width":      {'F', 'K', 1, 0, 2, 1, 4, 0, 0, 0, 0, 0},
 		"width over max":  {'F', 'K', 1, 0xFF, 0xFF, 0xFF, 0x7F, 2, 1, 4, 0, 0, 0, 0, 0},
 		"topk over frame": {'F', 'K', 1, 64, 2, 1, 4, 0, 0, 0, 0, 200},
-	}
-	for name, blob := range cases {
-		if _, err := DecodeSketch(blob); err == nil {
-			t.Errorf("%s: decode succeeded", name)
-		}
-	}
-	if _, err := DecodeSketch(good); err != nil {
-		t.Fatalf("control blob rejected: %v", err)
 	}
 }
 

@@ -41,7 +41,7 @@ type VSwitch struct {
 	mu    sync.RWMutex
 	rules map[FlowID]*Rule
 
-	// flows, when non-nil, summarizes per-flow traffic in constant memory
+	// flows, when non-nil, summarizes per-flow traffic in bounded memory
 	// (count-min + top-k) instead of relying on per-rule enumeration.
 	// Loaded without the rule-table lock: it is set before traffic starts.
 	flows atomic.Pointer[FlowSketch]
@@ -83,8 +83,9 @@ func (v *VSwitch) Lookup(flow FlowID) *Rule {
 }
 
 // EnableFlowSketch switches the element to sketch-based flow statistics:
-// Count feeds every batch into a constant-memory count-min + top-k
-// summary. Call before traffic starts.
+// Count feeds every batch into a count-min + top-k summary whose memory
+// grows with the cells its flows touch, up to a bound set by the config
+// and independent of the flow count. Call before traffic starts.
 func (v *VSwitch) EnableFlowSketch(cfg SketchConfig) *FlowSketch {
 	fs := NewFlowSketch(cfg)
 	v.flows.Store(fs)

@@ -27,7 +27,7 @@ type FlowStat struct {
 // evidence, the /flows endpoint and `perfsight flows`.
 type FlowReport struct {
 	Element core.ElementID `json:"element"`
-	// Source is "sketch" (constant-memory summary) or "legacy" (per-rule
+	// Source is "sketch" (bounded-memory summary) or "legacy" (per-rule
 	// enumeration attrs).
 	Source string     `json:"source"`
 	Flows  []FlowStat `json:"flows,omitempty"`
