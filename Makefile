@@ -22,6 +22,10 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzParseSoftnet -fuzztime 5s ./internal/procfs
 	$(GO) test -run '^$$' -fuzz FuzzStatLine -fuzztime 5s ./internal/agent
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSketch -fuzztime 5s ./internal/dataplane
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzV2Decode$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordJSON$$' -fuzztime 5s ./internal/wire
 	for e in quickstart contention chain-rootcause multitenant; do $(GO) run ./examples/$$e >/dev/null || exit 1; done
 	for s in membw backlog bottleneck chain; do $(GO) run ./cmd/perfsight -scenario $$s >/dev/null || exit 1; done
 

@@ -66,7 +66,7 @@ func main() {
 	sloWindow := flag.Duration("slo-window", 3*time.Second, "history window a triggered diagnosis event analyzes")
 	sloCooldown := flag.Duration("slo-cooldown", 30*time.Second, "minimum spacing between diagnosis triggers per tenant")
 	ewmaBands := flag.Float64("ewma-bands", 6, "EWMA deviation-band multiplier for baseline detectors on non-drop series")
-	incidentWindow := flag.Duration("incident-window", 5*time.Minute, "sliding window within which same-root-cause events fold into one incident")
+	incidentWindow := flag.Duration("incident-window", 5*time.Minute, "sliding window within which events with the same root cause and scope fold into one incident")
 	incidentResolve := flag.Duration("incident-resolve-after", time.Minute, "quiet period after which an open incident resolves")
 	pprofFlag := flag.Bool("pprof", false, "expose Go profiling endpoints (/debug/pprof/*) on the -telemetry address")
 	flag.Parse()

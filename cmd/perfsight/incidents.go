@@ -81,13 +81,19 @@ func printIncident(in anomaly.Incident, detail bool) {
 	if in.ResolvedAt > 0 {
 		span += " resolved " + fmtTS(in.ResolvedAt)
 	}
-	fmt.Printf("#%-4d %-9s %-32s %3d event(s)  %s\n", in.ID, in.State, in.RootCause, in.EventCount, span)
+	fmt.Printf("#%-4d %-9s %-32s on %-10s %3d event(s)  %s\n", in.ID, in.State, in.RootCause, fmt.Sprint(in.Machines), in.EventCount, span)
 	if in.DetectionNS > 0 {
 		fmt.Printf("      detected %v after last known-good sample\n", time.Duration(in.DetectionNS))
 	}
 	fmt.Printf("      %s\n", in.Summary)
 	if detail {
-		fmt.Printf("      tenants:  %v\n", in.Tenants)
+		// Several tenants in one scope is one problem in shared
+		// infrastructure (§7.4).
+		shared := ""
+		if len(in.Tenants) > 1 {
+			shared = " (shared)"
+		}
+		fmt.Printf("      tenants:  %v%s\n", in.Tenants, shared)
 		fmt.Printf("      elements: %v\n", in.Elements)
 	}
 }

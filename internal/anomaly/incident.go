@@ -1,11 +1,15 @@
 package anomaly
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"perfsight/internal/core"
+	"perfsight/internal/diagnosis"
+	"perfsight/internal/history"
 )
 
 // Incident states.
@@ -24,20 +28,27 @@ const maxIncidentEventSeqs = 64
 const maxIncidentTraceIDs = 16
 
 // Incident is one correlated anomaly episode: every diagnosis event
-// whose verdict names the same root cause within a sliding window is
-// folded into a single incident with a timeline, instead of paging the
-// operator once per sweep.
+// whose verdict names the same root cause in the same place within a
+// sliding window is folded into a single incident with a timeline,
+// instead of paging the operator once per sweep.
 type Incident struct {
 	ID int64 `json:"id"`
 	// State is open while events keep arriving; resolved once the
 	// tenant's series stayed inside their bands for ResolveAfter.
 	State string `json:"state"`
-	// RootCause is the correlation key: the Algorithm 2 root-cause
-	// element when chains are diagnosed, otherwise the Algorithm 1
-	// inferred resource ("resource:memory-bandwidth"), otherwise the
-	// spiking element itself.
+	// RootCause names what ran short: the Algorithm 2 root-cause element
+	// when chains are diagnosed, otherwise the Algorithm 1 inferred
+	// resource ("resource:memory-bandwidth"), otherwise the spiking
+	// element itself. Events fold on it together with its scope (see
+	// scopeOf): the top-drop machine of a stack verdict, narrowed to
+	// the VM for a bottleneck, or a chain verdict's whole root-cause
+	// set. So two incidents may share a RootCause.
 	RootCause string `json:"root_cause"`
+	// Machines are the machines the scope names, sorted: what tells two
+	// incidents of one resource on different machines apart.
+	Machines []core.MachineID `json:"machines,omitempty"`
 	// Tenants and Elements accumulate everything the episode touched.
+	// More than one tenant means one problem in shared infrastructure.
 	Tenants  []core.TenantID  `json:"tenants"`
 	Elements []core.ElementID `json:"elements"`
 	// FirstSeen/LastSeen bound the timeline in record-clock ns;
@@ -59,11 +70,14 @@ type Incident struct {
 	// DetectionNS is the opening event's detection latency: record-clock
 	// time from the series' last known-good sample to the trigger.
 	DetectionNS int64 `json:"detection_ns,omitempty"`
+
+	key string // the fold key: RootCause plus its scope
 }
 
 // clone deep-copies the incident so correlator internals never escape.
 func (in *Incident) clone() Incident {
 	out := *in
+	out.Machines = append([]core.MachineID(nil), in.Machines...)
 	out.Tenants = append([]core.TenantID(nil), in.Tenants...)
 	out.Elements = append([]core.ElementID(nil), in.Elements...)
 	out.EventSeqs = append([]int64(nil), in.EventSeqs...)
@@ -74,8 +88,8 @@ func (in *Incident) clone() Incident {
 // CorrelatorConfig bounds incident grouping.
 type CorrelatorConfig struct {
 	// Window is the sliding correlation window: an event sharing an open
-	// incident's root cause within Window of its LastSeen joins it; any
-	// later recurrence opens a fresh incident. Default 5m.
+	// incident's root cause and scope within Window of its LastSeen joins
+	// it; any later recurrence opens a fresh incident. Default 5m.
 	Window time.Duration
 	// ResolveAfter closes an open incident once no member event arrived
 	// for this long (the series returned inside their bands). Default 1m.
@@ -98,14 +112,16 @@ func (c CorrelatorConfig) withDefaults() CorrelatorConfig {
 	return c
 }
 
-// Correlator groups diagnosis events into incidents by root cause. All
-// methods are safe for concurrent use.
+// Correlator groups diagnosis events into incidents by root cause and
+// scope. It is the one place that decides whether reports, from one
+// tenant or several, are one problem. All methods are safe for
+// concurrent use.
 type Correlator struct {
 	cfg CorrelatorConfig
 
 	mu       sync.Mutex
 	nextID   int64
-	open     map[string]*Incident // root cause -> open incident
+	open     map[string]*Incident // fold key -> open incident
 	resolved []*Incident          // ring, oldest first
 }
 
@@ -115,11 +131,14 @@ func NewCorrelator(cfg CorrelatorConfig) *Correlator {
 }
 
 // Observe folds one diagnosis event into the incident sharing its root
-// cause, opening a new incident when none is open (or the open one's
-// window lapsed — Tick resolves those, but a late burst after a long
-// quiet gap must not reopen history). It returns the incident ID and
-// whether this event opened it.
-func (c *Correlator) Observe(key string, tid core.TenantID, elems []core.ElementID, ts int64, seq int64, summary string, detectionNS int64, traceID uint64) (id int64, opened bool) {
+// cause and scope, opening a new incident when none is open (or the open
+// one's window lapsed — Tick resolves those, but a late burst after a
+// long quiet gap must not reopen history). detectionNS is the event's
+// detection latency, kept when it opens the incident. It returns the
+// incident ID and whether this event opened it.
+func (c *Correlator) Observe(ev *history.Event, detectionNS int64) (id int64, opened bool) {
+	key, root, machines, elems := scopeOf(ev)
+	ts := ev.TS
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	in := c.open[key]
@@ -132,9 +151,11 @@ func (c *Correlator) Observe(key string, tid core.TenantID, elems []core.Element
 		in = &Incident{
 			ID:          c.nextID,
 			State:       StateOpen,
-			RootCause:   key,
+			RootCause:   root,
+			Machines:    machines,
 			FirstSeen:   ts,
 			DetectionNS: detectionNS,
+			key:         key,
 		}
 		c.open[key] = in
 		opened = true
@@ -142,16 +163,16 @@ func (c *Correlator) Observe(key string, tid core.TenantID, elems []core.Element
 	if ts > in.LastSeen {
 		in.LastSeen = ts
 	}
-	in.Summary = summary
+	in.Summary = ev.Summary
 	in.EventCount++
 	if len(in.EventSeqs) < maxIncidentEventSeqs {
-		in.EventSeqs = append(in.EventSeqs, seq)
+		in.EventSeqs = append(in.EventSeqs, ev.Seq)
 	}
-	if traceID != 0 && len(in.TraceIDs) < maxIncidentTraceIDs && !containsTrace(in.TraceIDs, traceID) {
-		in.TraceIDs = append(in.TraceIDs, traceID)
+	if ev.TraceID != 0 && len(in.TraceIDs) < maxIncidentTraceIDs && !containsTrace(in.TraceIDs, ev.TraceID) {
+		in.TraceIDs = append(in.TraceIDs, ev.TraceID)
 	}
-	if !containsTenant(in.Tenants, tid) {
-		in.Tenants = append(in.Tenants, tid)
+	if !containsTenant(in.Tenants, ev.Tenant) {
+		in.Tenants = append(in.Tenants, ev.Tenant)
 		sort.Slice(in.Tenants, func(i, j int) bool { return in.Tenants[i] < in.Tenants[j] })
 	}
 	for _, e := range elems {
@@ -161,6 +182,46 @@ func (c *Correlator) Observe(key string, tid core.TenantID, elems []core.Element
 	}
 	sort.Slice(in.Elements, func(i, j int) bool { return in.Elements[i] < in.Elements[j] })
 	return in.ID, opened
+}
+
+// scopeOf derives an event's fold key, its root-cause text, the machines
+// the key names and the elements it touched. The key is the root cause
+// plus where it is:
+//   - a chain verdict: the sorted root-cause set, so {a, b} and {a} are
+//     two problems;
+//   - a stack verdict: the inferred resource on the machine of the
+//     top-drop element (Ranked is ordered by loss, then ID, so the pick
+//     is deterministic), narrowed to the VM for a bottleneck;
+//   - otherwise the detected element itself.
+func scopeOf(ev *history.Event) (key, root string, machines []core.MachineID, elems []core.ElementID) {
+	elems = []core.ElementID{ev.Element}
+	if c := ev.Chain; c != nil && len(c.RootCauses) > 0 {
+		elems = append(elems, c.RootCauses...)
+		set := make([]string, len(c.RootCauses))
+		for i, id := range c.RootCauses {
+			set[i] = string(id)
+			machines = append(machines, id.Machine())
+		}
+		sort.Strings(set)
+		slices.Sort(machines)
+		return strings.Join(set, ","), string(c.RootCauses[0]), slices.Compact(machines), elems
+	}
+	if s := ev.Stack; s != nil && s.TotalLoss > 0 && len(s.Ranked) > 0 {
+		for i, e := range s.Ranked {
+			if i >= 8 || e.Loss == 0 {
+				break
+			}
+			elems = append(elems, e.Element)
+		}
+		root = "resource:" + s.Inferred.String()
+		m := s.Ranked[0].Element.Machine()
+		where := string(m)
+		if s.Scope == diagnosis.ScopeBottleneck {
+			where += "/" + string(s.BottleneckVM)
+		}
+		return root + "@" + where, root, []core.MachineID{m}, elems
+	}
+	return string(ev.Element), string(ev.Element), []core.MachineID{ev.Element.Machine()}, elems
 }
 
 // Tick advances the correlator's clock: open incidents quiet for
@@ -181,7 +242,7 @@ func (c *Correlator) Tick(now int64) int {
 func (c *Correlator) resolveLocked(in *Incident, at int64) {
 	in.State = StateResolved
 	in.ResolvedAt = at
-	delete(c.open, in.RootCause)
+	delete(c.open, in.key)
 	c.resolved = append(c.resolved, in)
 	if len(c.resolved) > c.cfg.MaxResolved {
 		c.resolved = c.resolved[len(c.resolved)-c.cfg.MaxResolved:]

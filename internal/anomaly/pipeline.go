@@ -200,6 +200,14 @@ func (p *Pipeline) beginEval(tid core.TenantID) evalCtx {
 	}
 }
 
+// worse reports whether a violation of severity sev on element id beats
+// the worst one so far. Equal severities go to the smaller element ID,
+// so the pick does not depend on the order records arrive in (a sweep
+// ranges over a map).
+func (ec *evalCtx) worse(sev float64, id core.ElementID) bool {
+	return sev > ec.worst.severity || sev == ec.worst.severity && id < ec.worst.elem
+}
+
 // evalRecord runs one record through every attached detector, folding
 // any violation into ec.worst. Callers hold p.mu. All timing is record
 // clock: violations carry the record's own timestamp, never wall time,
@@ -227,7 +235,7 @@ func (p *Pipeline) evalRecord(tid core.TenantID, id core.ElementID, rec core.Rec
 			}
 			if rate >= ec.slo.DropRatePPS && ec.slo.DropRatePPS > 0 {
 				sev := rate / ec.slo.DropRatePPS
-				if sev > ec.worst.severity {
+				if ec.worse(sev, id) {
 					ec.worst = violation{
 						elem: id, attr: a.ID, detector: DetectorDropRate,
 						value: rate, severity: sev, ts: rec.Timestamp,
@@ -262,7 +270,7 @@ func (p *Pipeline) evalRecord(tid core.TenantID, id core.ElementID, rec core.Rec
 				st.lastGood = rec.Timestamp
 				continue
 			}
-			if v.Trigger && v.Deviation > ec.worst.severity {
+			if v.Trigger && ec.worse(v.Deviation, id) {
 				ec.worst = violation{
 					elem: id, attr: a.ID, detector: DetectorBaseline,
 					value: x, baseline: v.Baseline, severity: v.Deviation,
@@ -412,12 +420,11 @@ func (p *Pipeline) fire(tid core.TenantID, slo SLO, worst violation, traceID uin
 			worst.detector, worst.elem, ev.Attr, worst.value)
 	}
 
-	key, elems := rootKey(&ev)
 	latency := int64(0)
 	if worst.lastGood > 0 && worst.ts > worst.lastGood {
 		latency = worst.ts - worst.lastGood
 	}
-	id, opened := p.Incidents.Observe(key, tid, elems, worst.ts, 0, ev.Summary, latency, traceID)
+	id, opened := p.Incidents.Observe(&ev, latency)
 	ev.IncidentID = id
 	seq := p.Journal.Append(ev)
 	p.Incidents.attachSeq(id, seq)
@@ -434,28 +441,6 @@ func (p *Pipeline) fire(tid core.TenantID, slo SLO, worst violation, traceID uin
 			m.opened.Inc()
 		}
 	}
-}
-
-// rootKey derives the correlation key and the affected-element set from
-// a diagnosed event: the Algorithm 2 root-cause element when a chain
-// verdict isolated one, else the Algorithm 1 inferred resource, else the
-// detected element itself.
-func rootKey(ev *history.Event) (string, []core.ElementID) {
-	elems := []core.ElementID{ev.Element}
-	if ev.Chain != nil && len(ev.Chain.RootCauses) > 0 {
-		elems = append(elems, ev.Chain.RootCauses...)
-		return string(ev.Chain.RootCauses[0]), elems
-	}
-	if ev.Stack != nil && ev.Stack.TotalLoss > 0 {
-		for i, e := range ev.Stack.Ranked {
-			if i >= 8 || e.Loss == 0 {
-				break
-			}
-			elems = append(elems, e.Element)
-		}
-		return "resource:" + ev.Stack.Inferred.String(), elems
-	}
-	return string(ev.Element), elems
 }
 
 // attachSeq records a journal sequence number on an incident after the

@@ -381,3 +381,18 @@ func TestPipelineConcurrentEvalAndAppend(t *testing.T) {
 		t.Fatal("concurrent run triggered nothing")
 	}
 }
+
+// A sweep is a map, so equally severe violations arrive in a random
+// order; the event must still blame the same element every time (the
+// smallest ID), or the incident it folds into would vary too.
+func TestAfterSweepTieBreakIsOrderFree(t *testing.T) {
+	for i := 0; i < 40; i++ {
+		l := newPipeLab(Config{SLO: SLOConfig{Default: SLO{DropRatePPS: 100, DisableBaselines: true}}})
+		l.sweep(1e9, dropRecs(map[core.ElementID]float64{"a": 0, "b": 0, "c": 0}))
+		l.sweep(2e9, dropRecs(map[core.ElementID]float64{"a": 1000, "b": 1000, "c": 1000}))
+		evs := l.journal.Since(0, 0)
+		if len(evs) != 1 || evs[0].Element != "a" {
+			t.Fatalf("pipeline %d: first event blames %v, want a", i, evs)
+		}
+	}
+}

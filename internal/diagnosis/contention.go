@@ -88,6 +88,15 @@ const minLossPackets = 5
 // hotFlowsTopK bounds the heavy-hitter evidence attached to reports.
 const hotFlowsTopK = 10
 
+// StackKind reports whether Algorithm 1 ranks elements of kind k: the
+// virtualization stack, host gauge elements (KindUnknown) and
+// middleboxes. Middleboxes are included because application-level
+// elements can themselves lose packets (an IDS capture ring overflowing
+// under CPU contention); ones without drop counters rank with zero loss.
+func StackKind(k core.ElementKind) bool {
+	return k.InVirtualizationStack() || k == core.KindUnknown || k == core.KindMiddlebox
+}
+
 // FindContentionAndBottleneck implements Algorithm 1: fetch the packet
 // loss of every element in the tenant's virtualization stack over window
 // T, sort by loss, and map the dominant drop location to the resource in
@@ -96,11 +105,7 @@ func FindContentionAndBottleneck(ctl *controller.Controller, tid core.TenantID, 
 	start := time.Now()
 	defer func() { observeRun("contention", start, contentionVerdict(rep, err)) }()
 	ids := ctl.TenantElements(tid, func(_ core.ElementID, info core.ElementInfo) bool {
-		// Middleboxes are included because application-level elements can
-		// themselves lose packets (an IDS capture ring overflowing under
-		// CPU contention); ones without drop counters rank with zero loss.
-		return info.Kind.InVirtualizationStack() || info.Kind == core.KindUnknown ||
-			info.Kind == core.KindPNIC || info.Kind == core.KindMiddlebox
+		return StackKind(info.Kind)
 	})
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("diagnosis: tenant %q has no virtualization-stack elements", tid)

@@ -89,6 +89,10 @@ func (r *RootCauseReport) String() string {
 	return b.String()
 }
 
+// ChainKind reports whether Algorithm 2 analyzes elements of kind k:
+// the middleboxes of the tenant's chains.
+func ChainKind(k core.ElementKind) bool { return k == core.KindMiddlebox }
+
 // LocateRootCause implements Algorithm 2: fetch every middlebox's
 // input/output bytes and times over window T, classify each as
 // ReadBlocked (b_in/t_in < C) or WriteBlocked (b_out/t_out < C), then
@@ -99,7 +103,7 @@ func LocateRootCause(ctl *controller.Controller, tid core.TenantID, T time.Durat
 	start := time.Now()
 	defer func() { observeRun("rootcause", start, rootCauseVerdict(rep, err)) }()
 	mbs := ctl.TenantElements(tid, func(_ core.ElementID, info core.ElementInfo) bool {
-		return info.Kind == core.KindMiddlebox
+		return ChainKind(info.Kind)
 	})
 	if len(mbs) == 0 {
 		return nil, fmt.Errorf("diagnosis: tenant %q has no middleboxes", tid)

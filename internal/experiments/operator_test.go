@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"perfsight/internal/anomaly"
 	"perfsight/internal/cluster"
 	"perfsight/internal/core"
+	"perfsight/internal/history"
 	"perfsight/internal/machine"
 	"perfsight/internal/middlebox"
 	"perfsight/internal/operator"
@@ -15,8 +18,10 @@ import (
 
 // TestOperatorWorkflowEndToEnd exercises the §7.3/§7.4 extensions against
 // a live scenario: two tenants on one machine both suffer when a memory
-// hog starts; ticket aggregation must call it one infrastructure problem
-// and the advisor must tell the operator to migrate the interference.
+// hog starts; their tickets must blame the same resource on that machine
+// (so the incident correlator folds them into one infrastructure
+// problem) and the advisor must tell the operator to migrate the
+// interference.
 func TestOperatorWorkflowEndToEnd(t *testing.T) {
 	l := NewLab(time.Millisecond)
 	defer l.Close()
@@ -58,12 +63,21 @@ func TestOperatorWorkflowEndToEnd(t *testing.T) {
 		tickets = append(tickets, tk)
 	}
 
-	agg := operator.AggregateTickets(tickets)
-	if agg.Verdict != operator.VerdictSharedInfrastructure {
-		t.Fatalf("aggregation verdict %v; want shared infrastructure\n%s", agg.Verdict, agg)
+	// What the incident correlator folds on: both reports put their top
+	// drop on the shared machine and infer the same resource.
+	for _, tk := range tickets {
+		top := tk.Stack.Ranked[0].Element
+		if top.Machine() != "m0" || tk.Stack.Inferred != tickets[0].Stack.Inferred {
+			t.Fatalf("tenant %s: top drop %s, inferred %s; want m0 and %s",
+				tk.Tenant, top, tk.Stack.Inferred, tickets[0].Stack.Inferred)
+		}
 	}
-	if agg.Machines["m0"] != 2 {
-		t.Fatalf("machine implication count: %v", agg.Machines)
+	c := anomaly.NewCorrelator(anomaly.CorrelatorConfig{})
+	for i, tk := range tickets {
+		c.Observe(&history.Event{TS: int64(i + 1), Tenant: tk.Tenant, Element: tk.Stack.Ranked[0].Element, Stack: tk.Stack}, 0)
+	}
+	if in := c.List("", 0); len(in) != 1 || !slices.Equal(in[0].Tenants, tenants) {
+		t.Fatalf("correlator made %d incident(s) of the two tickets: %+v", len(in), in)
 	}
 
 	recs := operator.Advise(tickets[0])

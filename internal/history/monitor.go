@@ -165,11 +165,7 @@ func (m *Monitor) SkippedSweeps() uint64 { return m.skipped.Load() }
 func (s *Store) DiagnoseStack(tid core.TenantID, window time.Duration, asOf int64) (*diagnosis.ContentionReport, error) {
 	ivs := s.Intervals(tid, nil, window, asOf)
 	for id, iv := range ivs {
-		kind := iv.Cur.Kind()
-		// Same element-kind set the live path samples (middleboxes rank
-		// too: application-level loss like an IDS capture ring counts).
-		if !kind.InVirtualizationStack() && kind != core.KindUnknown &&
-			kind != core.KindPNIC && kind != core.KindMiddlebox {
+		if !diagnosis.StackKind(iv.Cur.Kind()) {
 			delete(ivs, id)
 		}
 	}
@@ -185,7 +181,7 @@ func (s *Store) DiagnoseStack(tid core.TenantID, window time.Duration, asOf int6
 func (s *Store) DiagnoseChain(tid core.TenantID, window time.Duration, asOf int64, net *core.VirtualNet) (*diagnosis.RootCauseReport, error) {
 	ivs := s.Intervals(tid, nil, window, asOf)
 	for id, iv := range ivs {
-		if iv.Cur.Kind() != core.KindMiddlebox {
+		if !diagnosis.ChainKind(iv.Cur.Kind()) {
 			delete(ivs, id)
 		}
 	}

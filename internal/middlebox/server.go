@@ -46,11 +46,6 @@ func NewServer(id core.ElementID, capacityBps float64, cyclesPerByte float64) *S
 	}
 }
 
-// NewHTTPServer returns a server with typical request-handling cost.
-func NewHTTPServer(id core.ElementID, capacityBps float64) *Server {
-	return NewServer(id, capacityBps, 20)
-}
-
 // NewNFSServer returns a disk-backed log server.
 func NewNFSServer(id core.ElementID, capacityBps, diskBps float64) *Server {
 	s := NewServer(id, capacityBps, 15)

@@ -1,22 +1,18 @@
-// Package operator builds the cloud-operator workflow of §7.3 and the
-// scalability note of §7.4 on top of the diagnosis applications:
+// Package operator builds the cloud-operator workflow of §7.3 on top of
+// the diagnosis applications: a tenant's trouble ticket runs both
+// diagnoses over its virtual network, and the advisor maps every
+// diagnosis to a concrete remediation — the §2.2 taxonomy assigns each
+// root-cause class an owner and a fix (tenant redeploys a larger VM;
+// operator migrates contending work; tenant scales a bottleneck
+// middlebox out; tenant reloads buggy software).
 //
-//   - Ticket aggregation: tenants submit trouble tickets; the operator
-//     diagnoses each tenant's virtual network and correlates the reports.
-//     Tickets whose implicated elements overlap on shared machines are one
-//     infrastructure problem, not many tenant problems ("cloud operators
-//     can aggregate tenants' tickets to diagnose if they have elements
-//     overlapping with each other").
-//   - The advisor: every diagnosis maps to a concrete remediation — the
-//     §2.2 taxonomy assigns each root-cause class an owner and a fix
-//     (tenant redeploys a larger VM; operator migrates contending work;
-//     tenant scales a bottleneck middlebox out; tenant reloads buggy
-//     software).
+// Deciding that several tenants' reports are one infrastructure problem
+// (§7.4) is the anomaly correlator's job: its incidents fold on the
+// root cause and the machine it sits on.
 package operator
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -218,125 +214,4 @@ func Advise(t Ticket) []Recommendation {
 			Reason: "no loss and no blocked middleboxes observed"})
 	}
 	return recs
-}
-
-// AggregateVerdict classifies a set of tickets.
-type AggregateVerdict int
-
-const (
-	// VerdictIndependent: tickets implicate disjoint elements — each is a
-	// separate tenant-local problem.
-	VerdictIndependent AggregateVerdict = iota
-	// VerdictSharedInfrastructure: several tenants' tickets implicate the
-	// same machine's shared elements — one infrastructure problem.
-	VerdictSharedInfrastructure
-)
-
-func (v AggregateVerdict) String() string {
-	if v == VerdictSharedInfrastructure {
-		return "shared-infrastructure"
-	}
-	return "independent"
-}
-
-// Aggregate is the cross-tenant correlation of §7.4.
-type Aggregate struct {
-	Verdict AggregateVerdict
-	// Hotspots lists elements implicated by more than one tenant, with the
-	// tenants naming them.
-	Hotspots map[core.ElementID][]core.TenantID
-	// Machines ranks machines by how many tenants implicated them.
-	Machines map[core.MachineID]int
-}
-
-// String renders an operator summary.
-func (a *Aggregate) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "verdict: %s", a.Verdict)
-	if len(a.Hotspots) > 0 {
-		ids := make([]core.ElementID, 0, len(a.Hotspots))
-		for id := range a.Hotspots {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		b.WriteString("; hotspots:")
-		for _, id := range ids {
-			fmt.Fprintf(&b, " %s(tenants %v)", id, a.Hotspots[id])
-		}
-	}
-	return b.String()
-}
-
-// implicated returns the elements a ticket blames: the top loss elements
-// of the stack report plus any chain root causes.
-func implicated(t Ticket) []core.ElementID {
-	var out []core.ElementID
-	if s := t.Stack; s != nil && s.TotalLoss > 0 {
-		for _, e := range s.Ranked {
-			if e.Loss > 0 {
-				out = append(out, e.Element)
-			}
-		}
-	}
-	if c := t.Chain; c != nil {
-		out = append(out, c.RootCauses...)
-	}
-	return out
-}
-
-// AggregateTickets correlates tenants' tickets: when two or more tenants
-// implicate elements on the same machine's shared stack (or literally the
-// same element), the problem is infrastructure-level.
-func AggregateTickets(tickets []Ticket) *Aggregate {
-	agg := &Aggregate{
-		Hotspots: make(map[core.ElementID][]core.TenantID),
-		Machines: make(map[core.MachineID]int),
-	}
-	byElement := make(map[core.ElementID][]core.TenantID)
-	machineTenants := make(map[core.MachineID]map[core.TenantID]bool)
-
-	for _, t := range tickets {
-		seenMachines := map[core.MachineID]bool{}
-		for _, id := range implicated(t) {
-			byElement[id] = append(byElement[id], t.Tenant)
-			m := id.Machine()
-			if !seenMachines[m] {
-				seenMachines[m] = true
-				if machineTenants[m] == nil {
-					machineTenants[m] = map[core.TenantID]bool{}
-				}
-				machineTenants[m][t.Tenant] = true
-			}
-		}
-	}
-
-	for id, tenants := range byElement {
-		if len(uniqueTenants(tenants)) > 1 {
-			agg.Hotspots[id] = uniqueTenants(tenants)
-		}
-	}
-	for m, tenants := range machineTenants {
-		agg.Machines[m] = len(tenants)
-		if len(tenants) > 1 {
-			agg.Verdict = VerdictSharedInfrastructure
-		}
-	}
-	for id := range agg.Hotspots {
-		_ = id
-		agg.Verdict = VerdictSharedInfrastructure
-	}
-	return agg
-}
-
-func uniqueTenants(in []core.TenantID) []core.TenantID {
-	seen := map[core.TenantID]bool{}
-	var out []core.TenantID
-	for _, t := range in {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -94,46 +94,6 @@ func TestAdviseHealthyTicket(t *testing.T) {
 	}
 }
 
-func TestAggregateIndependentTickets(t *testing.T) {
-	agg := AggregateTickets([]Ticket{
-		{Tenant: "t1", Stack: stackReport(diagnosis.ScopeBottleneck, diagnosis.ResourceVMBottleneck, "vm1", "m0/vm1/tun")},
-		{Tenant: "t2", Stack: stackReport(diagnosis.ScopeBottleneck, diagnosis.ResourceVMBottleneck, "vm9", "m3/vm9/tun")},
-	})
-	if agg.Verdict != VerdictIndependent {
-		t.Fatalf("verdict %v; want independent (%s)", agg.Verdict, agg)
-	}
-	if len(agg.Hotspots) != 0 {
-		t.Fatalf("hotspots: %v", agg.Hotspots)
-	}
-}
-
-func TestAggregateSharedMachine(t *testing.T) {
-	agg := AggregateTickets([]Ticket{
-		{Tenant: "t1", Stack: stackReport(diagnosis.ScopeContention, diagnosis.ResourceMemoryBandwidth, "", "m0/vm1/tun")},
-		{Tenant: "t2", Stack: stackReport(diagnosis.ScopeContention, diagnosis.ResourceMemoryBandwidth, "", "m0/vm7/tun")},
-	})
-	if agg.Verdict != VerdictSharedInfrastructure {
-		t.Fatalf("verdict %v; want shared (%s)", agg.Verdict, agg)
-	}
-	if agg.Machines["m0"] != 2 {
-		t.Fatalf("machine count: %v", agg.Machines)
-	}
-}
-
-func TestAggregateSharedElementHotspot(t *testing.T) {
-	agg := AggregateTickets([]Ticket{
-		{Tenant: "t1", Stack: stackReport(diagnosis.ScopeContention, diagnosis.ResourcePCPUBacklog, "", "m0/cpu0/backlog")},
-		{Tenant: "t2", Stack: stackReport(diagnosis.ScopeContention, diagnosis.ResourcePCPUBacklog, "", "m0/cpu0/backlog")},
-	})
-	tenants := agg.Hotspots["m0/cpu0/backlog"]
-	if len(tenants) != 2 {
-		t.Fatalf("hotspot tenants: %v", tenants)
-	}
-	if !strings.Contains(agg.String(), "m0/cpu0/backlog") {
-		t.Fatalf("summary: %s", agg)
-	}
-}
-
 func TestActionAndOwnerNames(t *testing.T) {
 	for a := ActionNone; a <= ActionThrottleSource; a++ {
 		if strings.HasPrefix(a.String(), "action(") {

@@ -121,11 +121,6 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// Default is the process-wide registry the cmd binaries expose. Library
-// code takes an explicit *Registry; only main packages should reach for
-// the default.
-var Default = NewRegistry()
-
 func (r *Registry) family(name, help string, typ MetricType) *family {
 	if !validName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))

@@ -8,8 +8,7 @@ import (
 
 // Stage names one timed phase of a controller→agent query's life. The
 // canonical pipeline is connect → encode → transport → agent_gather →
-// decode, with diagnosis riding on top when an algorithm consumes the
-// records.
+// decode.
 type Stage string
 
 const (
@@ -18,7 +17,6 @@ const (
 	StageTransport Stage = "transport"
 	StageGather    Stage = "agent_gather"
 	StageDecode    Stage = "decode"
-	StageDiagnose  Stage = "diagnosis"
 )
 
 // StageDur is one aggregated stage timing inside a trace summary.
