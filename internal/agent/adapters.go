@@ -170,12 +170,14 @@ func (a *SoftnetAdapter) Fetch(src *Sources) (core.Record, error) {
 		return core.Record{}, fmt.Errorf("agent: softnet %s: row %d of %d", a.ID, a.Row, len(rows))
 	}
 	r := rows[a.Row]
+	// A queue receives what it admits, and everything it admitted was
+	// processed or still waits; a drop was never received.
 	return core.Record{
 		Timestamp: src.TS,
 		Element:   a.ID,
 		Attrs: []core.Attr{
 			{ID: core.AttrKind, Value: float64(a.QueueKind)},
-			{ID: core.AttrRxPackets, Value: float64(r.Processed + r.Dropped)},
+			{ID: core.AttrRxPackets, Value: float64(r.Processed + r.Queued)},
 			{ID: core.AttrTxPackets, Value: float64(r.Processed)},
 			{ID: core.AttrDropPackets, Value: float64(r.Dropped)},
 			{ID: core.AttrQueueLen, Value: float64(r.Queued)},

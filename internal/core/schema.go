@@ -311,15 +311,6 @@ func ExtAttrCount() int { return len(extCur.Load().defs) }
 // the registry cap since process start.
 func ExtRejected() uint64 { return extRejected.Load() }
 
-// SchemaAttrs returns a copy of the schema attribute definitions.
-func SchemaAttrs() []AttrDef {
-	out := make([]AttrDef, 0, SchemaMax)
-	for id := AttrID(1); id <= SchemaMax; id++ {
-		out = append(out, schemaDefs[id])
-	}
-	return out
-}
-
 // isMonotonic reports whether the attribute is a monotonically increasing
 // counter (as opposed to a gauge or static configuration value).
 func isMonotonic(id AttrID) bool {

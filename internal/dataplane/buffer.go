@@ -15,9 +15,9 @@ import "sync/atomic"
 // dropped — is exactly the signal Algorithm 1 diagnoses on.
 //
 // The queue has a single writer (the machine tick loop that owns it) and
-// allocates only while it grows toward its working size: batches live in
-// one ring that is kept when the buffer empties, and Dequeue fills a slice
-// the buffer owns. Only the occupancy gauges may be read from other
+// allocates only while its ring grows toward its working size: batches
+// live in one ring that is kept when the buffer empties, and Dequeue fills
+// a slice the buffer owns, sized with the ring. Only the occupancy gauges may be read from other
 // goroutines (agent snapshots), so they are atomics.
 type Buffer struct {
 	capPackets int
@@ -115,12 +115,17 @@ func (b *Buffer) push(batch Batch) {
 	b.n++
 }
 
-// grow doubles the ring, unwrapping the queue to its start.
+// grow doubles the ring, unwrapping the queue to its start, and sizes the
+// Dequeue result to match: a Dequeue returns at most one batch per queued
+// entry (each batch it takes either pops an entry or splits the head and
+// ends the call), so it never outgrows len(ring). The previous result is
+// left to whoever still ranges over it.
 func (b *Buffer) grow() {
 	ring := make([]Batch, max(4, 2*len(b.ring)))
 	k := copy(ring, b.ring[b.head:])
 	copy(ring[k:], b.ring[:b.head])
 	b.ring, b.head = ring, 0
+	b.out = make([]Batch, 0, len(ring))
 }
 
 // merge combines two (possibly empty) overflow fragments of the same batch.

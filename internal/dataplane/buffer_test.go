@@ -422,6 +422,48 @@ func TestBufferDequeueResultLifetime(t *testing.T) {
 	}
 }
 
+// TestBufferDequeueAllocFree: once the ring has grown, no Dequeue
+// allocates at any fill level it holds, whether it drains the queue, stops
+// on a packet or byte bound, or splits the head. The ring is grown and
+// drained one entry at a time first, so the result slice never grew
+// through Dequeue itself.
+func TestBufferDequeueAllocFree(t *testing.T) {
+	flows := [2]FlowID{"a", "b"} // alternating, so entries never coalesce
+	grown := func() *Buffer {
+		b := NewBuffer(0, 0)
+		for i := 0; i < 64; i++ {
+			b.Enqueue(Batch{Flow: flows[i%2], Packets: 2, Bytes: 200})
+		}
+		for !b.Empty() {
+			b.Dequeue(2, -1)
+		}
+		return b
+	}
+	// AllocsPerRun makes one warm-up call before the measured one; each
+	// gets its own freshly grown buffer.
+	bufs := []*Buffer{grown(), grown()}
+	runs := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		b := bufs[runs]
+		runs++
+		for k := 1; k <= len(b.ring); k++ {
+			for _, bound := range [][2]int{{-1, -1}, {2*k - 2, -1}, {-1, 200*k - 100}, {2*k - 1, -1}} {
+				for i := 0; i < k; i++ {
+					b.Enqueue(Batch{Flow: flows[i%2], Packets: 2, Bytes: 200})
+				}
+				b.Dequeue(bound[0], int64(bound[1]))
+				b.Dequeue(-1, -1)
+			}
+		}
+	})
+	if len(bufs[1].ring) != 64 {
+		t.Fatalf("ring grew to %d entries during the run; want 64", len(bufs[1].ring))
+	}
+	if allocs != 0 {
+		t.Fatalf("Dequeue allocated %.0f objects across fill levels 1..64; want 0", allocs)
+	}
+}
+
 func TestFeedbackNotifications(t *testing.T) {
 	fb := &recordingFB{}
 	b := Batch{Flow: "f", Packets: 2, Bytes: 20, FB: fb}

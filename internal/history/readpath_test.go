@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,140 +14,6 @@ import (
 	"perfsight/internal/controller"
 	"perfsight/internal/core"
 )
-
-// The model below is the store's original read path, kept as the oracle
-// for the optimized one: it ranges the attr map, finds each edge by a
-// linear scan of the rings, sorts the attrs by name afterwards, and
-// resolves each edge of an interval with its own At call.
-
-func modelBefore(r *ring, t int64) (Point, bool) {
-	for i := r.n - 1; i >= 0; i-- {
-		if p := r.at(i); p.TS <= t {
-			return p, true
-		}
-	}
-	return Point{}, false
-}
-
-func modelAt(s *Store, tid core.TenantID, eid core.ElementID, asOf int64) (core.Record, bool) {
-	k := elemKey{tid, eid}
-	sh := s.shardOf(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	es := sh.elems[k]
-	if es == nil {
-		return core.Record{}, false
-	}
-	if asOf <= 0 {
-		asOf = es.lastTS
-	}
-	rec := core.Record{Element: eid}
-	for id, sr := range es.attrs {
-		p, ok := modelBefore(&sr.raw, asOf)
-		if !ok {
-			p, ok = modelBefore(&sr.down, asOf)
-		}
-		if !ok {
-			continue
-		}
-		a := core.Attr{ID: id, Value: p.V}
-		if bs, hasBlob := es.blobs[id]; hasBlob && bs.ts <= asOf {
-			a.Payload = bs.blob
-		}
-		rec.Attrs = append(rec.Attrs, a)
-		if p.TS > rec.Timestamp {
-			rec.Timestamp = p.TS
-		}
-	}
-	if len(rec.Attrs) == 0 {
-		return core.Record{}, false
-	}
-	sort.Slice(rec.Attrs, func(i, j int) bool { return core.AttrName(rec.Attrs[i].ID) < core.AttrName(rec.Attrs[j].ID) })
-	return rec, true
-}
-
-func modelInterval(s *Store, tid core.TenantID, eid core.ElementID, window time.Duration, asOf int64) (controller.Interval, bool) {
-	cur, ok := modelAt(s, tid, eid, asOf)
-	if !ok {
-		return controller.Interval{}, false
-	}
-	prev, ok := modelAt(s, tid, eid, cur.Timestamp-int64(window))
-	if !ok || prev.Timestamp >= cur.Timestamp {
-		return controller.Interval{}, false
-	}
-	return controller.Interval{Prev: prev, Cur: cur}, true
-}
-
-// modelElements scans every shard for the tenant's element groups.
-func modelElements(s *Store, tid core.TenantID) []core.ElementID {
-	var out []core.ElementID
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k := range sh.elems {
-			if k.Tenant == tid {
-				out = append(out, k.Element)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	slices.Sort(out)
-	return out
-}
-
-func modelTenants(s *Store) []core.TenantID {
-	out := []core.TenantID{}
-	for i := range s.shards {
-		for k := range s.shards[i].elems {
-			if !slices.Contains(out, k.Tenant) {
-				out = append(out, k.Tenant)
-			}
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-func modelIntervals(s *Store, tid core.TenantID, ids []core.ElementID, window time.Duration, asOf int64) map[core.ElementID]controller.Interval {
-	if ids == nil {
-		ids = modelElements(s, tid)
-	}
-	out := make(map[core.ElementID]controller.Interval, len(ids))
-	for _, id := range ids {
-		if iv, ok := modelInterval(s, tid, id, window, asOf); ok {
-			out[id] = iv
-		}
-	}
-	return out
-}
-
-// modelSeries filters every stored point of the series linearly.
-func modelSeries(s *Store, tid core.TenantID, eid core.ElementID, attr string, from, to int64, limit int) []Point {
-	id, ok := core.LookupAttr(attr)
-	if !ok {
-		return nil
-	}
-	k := elemKey{tid, eid}
-	sh := s.shardOf(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	es := sh.elems[k]
-	if es == nil || es.attrs[id] == nil {
-		return nil
-	}
-	var out []Point
-	for _, r := range []*ring{&es.attrs[id].down, &es.attrs[id].raw} {
-		for i := 0; i < r.n; i++ {
-			if p := r.at(i); p.TS >= from && p.TS <= to {
-				out = append(out, p)
-			}
-		}
-	}
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
-}
 
 // earlyExt is an extension attr whose name sorts before every schema name
 // while its ID sorts after every schema ID.
@@ -170,10 +35,10 @@ var oracleAttrs = []core.AttrID{
 // step-down rings and whose retention evicts: records miss random attrs,
 // list them shuffled, repeat timestamps (overwrites) and go back in time
 // (dropped), and the sketch attr carries payload blobs. Timestamps start
-// at or near zero.
-func randomStore(seed int64) (*Store, []core.TenantID, int64) {
+// at or near zero. The model is fed the same records.
+func randomStore(seed int64) (twin, []core.TenantID, int64) {
 	rng := rand.New(rand.NewSource(seed))
-	s := New(Config{
+	s := newTwin(Config{
 		MaxPointsPerSeries: 1 + rng.Intn(5),
 		DownsampleStep:     time.Duration(1 + rng.Intn(6)),
 		Retention:          time.Duration(1 + rng.Intn(30)),
@@ -222,36 +87,50 @@ func randomStore(seed int64) (*Store, []core.TenantID, int64) {
 }
 
 // TestReadPathMatchesModel drives every read of hundreds of seeded random
-// stores against the model, over asOf values that include <= 0 and
-// windows that include 0.
+// stores against the model fed the same records, over asOf values that
+// include <= 0 and windows that include 0, and checks that the store's
+// timelines are the model's.
 func TestReadPathMatchesModel(t *testing.T) {
 	const stores = 400
-	var downsampled, evicted, intervals int64
+	var downsampled, evicted, intervals, splits int64
 	for seed := int64(0); seed < stores; seed++ {
 		s, tenants, maxTS := randomStore(seed)
+		m := s.m
+		if got, want := s.Stats(), m.Stats(); got != want {
+			t.Fatalf("seed %d: Stats = %+v, model %+v", seed, got, want)
+		}
 		downsampled += s.Stats().Downsampled
 		evicted += s.Stats().Evicted
+		splits += int64(m.splits)
 		rng := rand.New(rand.NewSource(^seed))
-		if got, want := s.Tenants(), modelTenants(s); !reflect.DeepEqual(got, want) {
+		if got, want := s.Tenants(), m.Tenants(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: Tenants = %v, model %v", seed, got, want)
 		}
 		asOfs := []int64{-3, 0, 1, 2, maxTS, maxTS + 50, math.MaxInt64, rng.Int63n(maxTS + 3), rng.Int63n(maxTS + 3)}
 		windows := []time.Duration{0, 1, 2, -1, time.Duration(maxTS), time.Duration(1 + rng.Int63n(maxTS+2))}
 		for _, tid := range append(tenants, "ghost") {
 			ids := s.Elements(tid)
-			if want := modelElements(s, tid); !reflect.DeepEqual(ids, want) {
+			if want := m.Elements(tid); !reflect.DeepEqual(ids, want) {
 				t.Fatalf("seed %d: Elements(%s) = %v, model %v", seed, tid, ids, want)
+			}
+			for _, eid := range append(slices.Clone(ids), "ghost") {
+				if got, want := s.Attrs(tid, eid), m.Attrs(tid, eid); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: Attrs(%s, %s) = %v, model %v", seed, tid, eid, got, want)
+				}
+				if got, want := timelines(s.Store, tid, eid), m.Timelines(tid, eid); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: %s/%s timelines = %v, model %v", seed, tid, eid, got, want)
+				}
 			}
 			for _, asOf := range asOfs {
 				for _, eid := range append(slices.Clone(ids), "ghost") {
 					got, ok := s.At(tid, eid, asOf)
-					want, wantOK := modelAt(s, tid, eid, asOf)
+					want, wantOK := m.At(tid, eid, asOf)
 					if ok != wantOK || !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d: At(%s, %s, %d) = %v %v, model %v %v", seed, tid, eid, asOf, got, ok, want, wantOK)
 					}
 					for _, w := range windows {
 						got, ok := s.Interval(tid, eid, w, asOf)
-						want, wantOK := modelInterval(s, tid, eid, w, asOf)
+						want, wantOK := m.Interval(tid, eid, w, asOf)
 						if ok {
 							intervals++
 						}
@@ -261,11 +140,11 @@ func TestReadPathMatchesModel(t *testing.T) {
 					}
 				}
 				for _, w := range windows {
-					if got, want := s.Intervals(tid, nil, w, asOf), modelIntervals(s, tid, nil, w, asOf); !reflect.DeepEqual(got, want) {
+					if got, want := s.Intervals(tid, nil, w, asOf), m.Intervals(tid, nil, w, asOf); !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d: Intervals(%s, nil, %d, %d) = %v, model %v", seed, tid, w, asOf, got, want)
 					}
 					some := append([]core.ElementID{"ghost"}, ids[:rng.Intn(len(ids)+1)]...)
-					if got, want := s.Intervals(tid, some, w, asOf), modelIntervals(s, tid, some, w, asOf); !reflect.DeepEqual(got, want) {
+					if got, want := s.Intervals(tid, some, w, asOf), m.Intervals(tid, some, w, asOf); !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d: Intervals(%s, %v, %d, %d) = %v, model %v", seed, tid, some, w, asOf, got, want)
 					}
 				}
@@ -276,7 +155,7 @@ func TestReadPathMatchesModel(t *testing.T) {
 					for _, q := range [][2]int64{{math.MinInt64, math.MaxInt64}, {0, 0}, {rng.Int63n(maxTS+2) - 1, rng.Int63n(maxTS + 2)}, {rng.Int63n(maxTS + 2), maxTS}} {
 						limit := rng.Intn(4) - 1
 						got := s.Series(tid, eid, name, q[0], q[1], limit)
-						if want := modelSeries(s, tid, eid, name, q[0], q[1], limit); !reflect.DeepEqual(got, want) {
+						if want := m.Series(tid, eid, name, q[0], q[1], limit); !reflect.DeepEqual(got, want) {
 							t.Fatalf("seed %d: Series(%s, %s, %s, %d, %d, %d) = %v, model %v", seed, tid, eid, name, q[0], q[1], limit, got, want)
 						}
 					}
@@ -284,9 +163,9 @@ func TestReadPathMatchesModel(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d stores: %d points downsampled, %d evicted, %d intervals synthesized", stores, downsampled, evicted, intervals)
-	if downsampled == 0 || evicted == 0 || intervals == 0 {
-		t.Fatal("the random stores no longer reach step-down, eviction or a synthesized interval")
+	t.Logf("%d stores: %d points downsampled, %d evicted, %d timelines split, %d intervals synthesized", stores, downsampled, evicted, splits, intervals)
+	if downsampled == 0 || evicted == 0 || splits == 0 || intervals == 0 {
+		t.Fatal("the random stores no longer reach step-down, eviction, a timeline split or a synthesized interval")
 	}
 }
 
@@ -296,14 +175,14 @@ func TestReadPathTraps(t *testing.T) {
 	rec := func(eid core.ElementID, ts int64) core.Record {
 		return core.Record{Timestamp: ts, Element: eid, Attrs: []core.Attr{{ID: core.AttrRxPackets, Value: float64(ts)}}}
 	}
-	check := func(t *testing.T, s *Store, eid core.ElementID, window time.Duration, asOf int64) (controller.Interval, bool) {
+	check := func(t *testing.T, s twin, eid core.ElementID, window time.Duration, asOf int64) (controller.Interval, bool) {
 		t.Helper()
 		got, ok := s.Interval(testTenant, eid, window, asOf)
-		want, wantOK := modelInterval(s, testTenant, eid, window, asOf)
+		want, wantOK := s.m.Interval(testTenant, eid, window, asOf)
 		if ok != wantOK || !reflect.DeepEqual(got, want) {
 			t.Fatalf("Interval(%s, %d, %d) = %v %v, model %v %v", eid, window, asOf, got, ok, want, wantOK)
 		}
-		if ivs := s.Intervals(testTenant, nil, window, asOf); !reflect.DeepEqual(ivs, modelIntervals(s, testTenant, nil, window, asOf)) {
+		if ivs := s.Intervals(testTenant, nil, window, asOf); !reflect.DeepEqual(ivs, s.m.Intervals(testTenant, nil, window, asOf)) {
 			t.Fatalf("Intervals(%d, %d) = %v differs from the model", window, asOf, ivs)
 		}
 		return got, ok
@@ -312,7 +191,7 @@ func TestReadPathTraps(t *testing.T) {
 	// (a) A Prev edge at or before zero is At(<= 0), which means
 	// "newest": no interval, even though a point sits at TS 0.
 	t.Run("prev edge at or before zero", func(t *testing.T) {
-		s := New(Config{})
+		s := newTwin(Config{})
 		s.Append(testTenant, rec("e", 0))
 		s.Append(testTenant, rec("e", 5))
 		for _, w := range []time.Duration{5, 6} {
@@ -331,7 +210,7 @@ func TestReadPathTraps(t *testing.T) {
 	// whichever of them sorts first.
 	t.Run("asOf newest is per element", func(t *testing.T) {
 		for _, order := range [][2]core.ElementID{{"a", "b"}, {"b", "a"}} {
-			s := New(Config{})
+			s := newTwin(Config{})
 			early, late := order[0], order[1]
 			for ts := int64(1); ts <= 10; ts++ {
 				s.Append(testTenant, rec(early, ts))
@@ -384,7 +263,7 @@ func TestAtAttrsInNameOrder(t *testing.T) {
 // one allocation, so an append to one record's attrs must reallocate
 // rather than write over its Prev or a neighbouring element.
 func TestIntervalsSlabAliasing(t *testing.T) {
-	s := New(Config{})
+	s := newTwin(Config{})
 	for e := 0; e < 4; e++ {
 		eid := core.ElementID(fmt.Sprintf("e%d", e))
 		for ts := int64(1); ts <= 4; ts++ {
@@ -398,7 +277,7 @@ func TestIntervalsSlabAliasing(t *testing.T) {
 		}
 	}
 	ivs := s.Intervals(testTenant, nil, 2, 3)
-	want := modelIntervals(s, testTenant, nil, 2, 3)
+	want := s.m.Intervals(testTenant, nil, 2, 3)
 	if !reflect.DeepEqual(ivs, want) || len(ivs) != 4 {
 		t.Fatalf("Intervals = %v, model %v", ivs, want)
 	}
@@ -418,6 +297,23 @@ func TestIntervalsSlabAliasing(t *testing.T) {
 			t.Fatalf("append to %s's Cur changed its Prev: %v", eid, ivs[eid].Prev)
 		}
 	}
+}
+
+// groupedElements scans every shard for the tenant's element groups.
+func groupedElements(s *Store, tid core.TenantID) []core.ElementID {
+	var out []core.ElementID
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for k := range sh.elems {
+			if k.Tenant == tid {
+				out = append(out, k.Element)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	slices.Sort(out)
+	return out
 }
 
 // TestIndexConcurrentWithAppend runs the readers beside appends that keep
@@ -474,8 +370,8 @@ func TestIndexConcurrentWithAppend(t *testing.T) {
 	default:
 	}
 	for _, tid := range s.Tenants() {
-		if got, want := s.Elements(tid), modelElements(s, tid); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Elements(%s) = %v, model %v", tid, got, want)
+		if got, want := s.Elements(tid), groupedElements(s, tid); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Elements(%s) = %v, groups %v", tid, got, want)
 		}
 	}
 	if got := s.Stats().Elements; got != 900 {

@@ -4,15 +4,20 @@
 // analyze any past window instantly instead of blocking 2·T on live
 // samples (§4–5's continuous-statistics promise).
 //
-// The store is keyed by (tenant, element, attr). Each series is a pair of
-// ring buffers: a raw ring holding the most recent points at full sweep
-// cadence, and a step-down ring holding one point per DownsampleStep for
-// older history. A point pushed out of the raw ring is folded into its
-// downsample bucket (last value wins — the attrs are overwhelmingly
-// monotonic counters, so keeping the latest point per bucket preserves
-// window deltas at bucket granularity); the step-down ring in turn evicts
-// past the retention horizon. Total resident points are therefore bounded
-// by series × (MaxPointsPerSeries + Retention/DownsampleStep).
+// The store is keyed by (tenant, element, attr) and kept by column. The
+// attrs of an element share one timeline: a raw ring holding the most
+// recent timestamps at full sweep cadence, and a step-down ring holding
+// one timestamp per DownsampleStep for older history. Each attr keeps
+// only float64 values, slot for slot with its timeline's rings. A point
+// pushed out of the raw ring is folded into its downsample bucket (last
+// value wins — the attrs are overwhelmingly monotonic counters, so
+// keeping the latest point per bucket preserves window deltas at bucket
+// granularity); the step-down ring in turn evicts past the retention
+// horizon. Attrs share a timeline only while their timestamp histories
+// are identical: a record at a new instant that omits some of them first
+// moves those onto their own copy of the timeline. Total resident points
+// are therefore bounded by
+// series × (MaxPointsPerSeries + Retention/DownsampleStep).
 package history
 
 import (
@@ -74,66 +79,47 @@ type Point struct {
 	V  float64 `json:"v"`
 }
 
-// ring is a fixed-capacity FIFO of points ordered by ascending TS.
+// ring is a fixed-capacity FIFO of timestamps in ascending order:
+// ts[(head+i)%len(ts)] for i in [0, n), oldest first. The value columns
+// of the attrs on the ring's timeline use the same slots.
 type ring struct {
-	buf  []Point
-	head int // index of oldest
+	ts   []int64
+	head int // slot of the oldest
 	n    int
 }
 
-func newRing(capacity int) ring { return ring{buf: make([]Point, capacity)} }
+// slot returns the slot of the i-th oldest timestamp, i in [0, n).
+func (r *ring) slot(i int) int { return (r.head + i) % len(r.ts) }
 
-// at returns the i-th oldest point, i in [0, n).
-func (r *ring) at(i int) Point { return r.buf[(r.head+i)%len(r.buf)] }
-
-// last returns the newest point.
-func (r *ring) last() (Point, bool) {
-	if r.n == 0 {
-		return Point{}, false
+// push claims the slot after the newest, evicting the oldest when full;
+// the caller fills it. evicted is the claimed slot's previous occupant.
+func (r *ring) push() (slot int, evicted bool) {
+	if r.n == len(r.ts) {
+		slot = r.head
+		r.head = (r.head + 1) % len(r.ts)
+		return slot, true
 	}
-	return r.at(r.n - 1), true
-}
-
-// setLast overwrites the newest point.
-func (r *ring) setLast(p Point) { r.buf[(r.head+r.n-1)%len(r.buf)] = p }
-
-// push appends p, evicting the oldest point when full.
-func (r *ring) push(p Point) (evicted Point, wasFull bool) {
-	if r.n == len(r.buf) {
-		evicted = r.buf[r.head]
-		r.buf[r.head] = p
-		r.head = (r.head + 1) % len(r.buf)
-		return evicted, true
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
 	r.n++
-	return Point{}, false
+	return r.slot(r.n - 1), false
 }
 
-// popOldest removes and returns the oldest point.
-func (r *ring) popOldest() Point {
-	p := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return p
-}
-
-// runs returns the live points as the ring's two ascending runs: the
-// older one from head to the end of buf, then the wrapped newer one.
-func (r *ring) runs() (older, newer []Point) {
-	if end := r.head + r.n; end > len(r.buf) {
-		return r.buf[r.head:], r.buf[:end-len(r.buf)]
+// runs returns the live timestamps as the ring's two ascending runs: the
+// older one from slot head to the end of ts, then the wrapped newer one
+// from slot 0.
+func (r *ring) runs() (older, newer []int64) {
+	if end := r.head + r.n; end > len(r.ts) {
+		return r.ts[r.head:], r.ts[:end-len(r.ts)]
 	}
-	return r.buf[r.head : r.head+r.n], nil
+	return r.ts[r.head : r.head+r.n], nil
 }
 
-// search returns the index of the first point of the ascending run with
-// TS > t, or with TS >= t when incl is set.
-func search(run []Point, t int64, incl bool) int {
+// search returns the index of the first timestamp of the ascending run
+// that is > t, or >= t when incl is set.
+func search(run []int64, t int64, incl bool) int {
 	lo, hi := 0, len(run)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if ts := run[m].TS; ts > t || incl && ts == t {
+		if ts := run[m]; ts > t || incl && ts == t {
 			hi = m
 		} else {
 			lo = m + 1
@@ -142,27 +128,31 @@ func search(run []Point, t int64, incl bool) int {
 	return lo
 }
 
-// before returns the newest point with TS <= t.
-func (r *ring) before(t int64) (Point, bool) {
+// before returns the slot of the newest timestamp <= t.
+func (r *ring) before(t int64) (int, bool) {
 	older, newer := r.runs()
 	if i := search(newer, t, false); i > 0 {
-		return newer[i-1], true
+		return i - 1, true
 	}
 	if i := search(older, t, false); i > 0 {
-		return older[i-1], true
+		return r.head + i - 1, true
 	}
-	return Point{}, false
+	return 0, false
 }
 
-// scan calls fn for every point with from <= TS <= to, oldest first.
-func (r *ring) scan(from, to int64, fn func(Point) bool) bool {
+// scan calls fn for every point with from <= TS <= to, oldest first,
+// reading the values from vals, a column on this ring.
+func (r *ring) scan(vals []float64, from, to int64, fn func(Point) bool) bool {
 	older, newer := r.runs()
-	for _, run := range [2][]Point{older, newer} {
-		for _, p := range run[search(run, from, true):] {
-			if p.TS > to {
+	for _, run := range [2]struct {
+		ts   []int64
+		base int
+	}{{older, r.head}, {newer, 0}} {
+		for i := search(run.ts, from, true); i < len(run.ts); i++ {
+			if run.ts[i] > to {
 				return true
 			}
-			if !fn(p) {
+			if !fn(Point{TS: run.ts[i], V: vals[run.base+i]}) {
 				return false
 			}
 		}
@@ -170,10 +160,62 @@ func (r *ring) scan(from, to int64, fn func(Point) bool) bool {
 	return true
 }
 
-// series is one (tenant, element, attr) time series: raw + step-down rings.
-type series struct {
-	raw  ring
-	down ring
+// timeline is the timestamp history a set of an element's attrs share:
+// a raw and a step-down ring, and per attr a column of values for each.
+type timeline struct {
+	raw, down ring
+	cols      []*column
+	// slot is where the record being appended writes its values on this
+	// timeline's raw ring, or -1 when it writes none. Append sets it
+	// under the shard's write lock.
+	slot int
+}
+
+// column is one (tenant, element, attr) series: values, slot for slot
+// with its timeline's rings.
+type column struct {
+	id        core.AttrID
+	tl        *timeline
+	raw, down []float64
+	seen      uint64 // the element's records count when a record last carried the attr
+}
+
+// newTimeline allocates a timeline with empty rings for cols, and the
+// cols' value columns with it. The raw and step-down parts are separate
+// slabs: a raw ring of the default 512 points is 4 KiB per column, so the
+// raw slabs fill their allocator size classes exactly, where one joint
+// slab would round up by as much as an eighth.
+func (s *Store) newTimeline(cols []*column) *timeline {
+	rc, dc := s.cfg.MaxPointsPerSeries, s.cfg.downCap()
+	tl := &timeline{raw: ring{ts: make([]int64, rc)}, down: ring{ts: make([]int64, dc)}, cols: cols}
+	raw, down := make([]float64, len(cols)*rc), make([]float64, len(cols)*dc)
+	for i, c := range cols {
+		c.raw, c.down, c.tl = raw[i*rc:(i+1)*rc:(i+1)*rc], down[i*dc:(i+1)*dc:(i+1)*dc], tl
+	}
+	return tl
+}
+
+// split moves the columns the record being appended omits onto a copy of
+// the timeline, leaving it the columns whose seen equals seq.
+func (tl *timeline) split(seq uint64) *timeline {
+	var moved []*column
+	kept := tl.cols[:0]
+	for _, c := range tl.cols {
+		if c.seen == seq {
+			kept = append(kept, c)
+		} else {
+			moved = append(moved, c)
+		}
+	}
+	// Zero the tail, so the shrunken list holds no stale column pointers.
+	clear(tl.cols[len(kept):])
+	tl.cols = kept
+	cp := &timeline{raw: tl.raw, down: tl.down, cols: moved}
+	cp.raw.ts, cp.down.ts = slices.Clone(tl.raw.ts), slices.Clone(tl.down.ts)
+	for _, c := range moved {
+		c.tl = cp
+	}
+	return cp
 }
 
 // elemKey identifies one element's series group.
@@ -192,25 +234,23 @@ type blobSample struct {
 	blob []byte
 }
 
-// namedSeries is one entry of an element's name-ordered series list.
-type namedSeries struct {
-	id core.AttrID
-	sr *series
-}
-
-// elemSeries groups the attr series of one element. attrs finds a series
-// by ID; byName holds the same series in core.AttrName order, so a read
-// emits a record's attrs already sorted.
+// elemSeries groups the attr series of one element. attrs finds a column
+// by ID; byName holds the same columns in core.AttrName order, so a read
+// emits a record's attrs already sorted. timelines lists the timelines
+// the columns are on, one unless records have omitted attrs.
 type elemSeries struct {
-	attrs  map[core.AttrID]*series
-	byName []namedSeries
-	blobs  map[core.AttrID]blobSample
-	lastTS int64
+	attrs     map[core.AttrID]*column
+	byName    []*column
+	timelines []*timeline
+	blobs     map[core.AttrID]blobSample
+	lastTS    int64
+	records   uint64 // records appended, the stamp column.seen compares with
 }
 
 type shard struct {
 	mu    sync.RWMutex
 	elems map[elemKey]*elemSeries
+	cols  []*column // Append's scratch: the column of each attr of the record
 }
 
 // Stats is a point-in-time summary of the store's occupancy.
@@ -279,7 +319,7 @@ func (s *Store) Append(tid core.TenantID, rec core.Record) {
 	sh.mu.Lock()
 	es := sh.elems[k]
 	if es == nil {
-		es = &elemSeries{attrs: make(map[core.AttrID]*series, len(rec.Attrs))}
+		es = &elemSeries{attrs: make(map[core.AttrID]*column, len(rec.Attrs))}
 		sh.elems[k] = es
 		s.elements.Add(1)
 		s.index(k)
@@ -287,20 +327,37 @@ func (s *Store) Append(tid core.TenantID, rec core.Record) {
 	if rec.Timestamp > es.lastTS {
 		es.lastTS = rec.Timestamp
 	}
+	es.records++
+	cols := sh.cols[:0]
+	var fresh []*column
 	for _, a := range rec.Attrs {
-		sr := es.attrs[a.ID]
-		if sr == nil {
-			sr = &series{
-				raw:  newRing(s.cfg.MaxPointsPerSeries),
-				down: newRing(s.cfg.downCap()),
-			}
-			es.attrs[a.ID] = sr
+		c := es.attrs[a.ID]
+		if c == nil {
+			c = &column{id: a.ID}
+			es.attrs[a.ID] = c
 			name := core.AttrName(a.ID)
 			i := sort.Search(len(es.byName), func(i int) bool { return core.AttrName(es.byName[i].id) > name })
-			es.byName = slices.Insert(es.byName, i, namedSeries{a.ID, sr})
+			es.byName = slices.Insert(es.byName, i, c)
 			s.series.Add(1)
+			fresh = append(fresh, c)
 		}
-		s.appendPoint(sr, Point{TS: rec.Timestamp, V: a.Value})
+		c.seen = es.records
+		cols = append(cols, c)
+	}
+	if fresh != nil {
+		// Attrs first seen together share one new timeline.
+		es.timelines = append(es.timelines, s.newTimeline(fresh))
+	}
+	// A split appends its copy, which this record writes nothing on,
+	// behind the range.
+	for _, tl := range es.timelines {
+		tl.slot = s.advance(es, tl, rec.Timestamp)
+	}
+	for i, a := range rec.Attrs {
+		c := cols[i]
+		if c.tl.slot >= 0 {
+			c.raw[c.tl.slot] = a.Value
+		}
 		if len(a.Payload) > 0 {
 			if es.blobs == nil {
 				es.blobs = make(map[core.AttrID]blobSample, 1)
@@ -312,6 +369,7 @@ func (s *Store) Append(tid core.TenantID, rec core.Record) {
 			}
 		}
 	}
+	sh.cols = cols[:0]
 	sh.mu.Unlock()
 }
 
@@ -324,43 +382,79 @@ func (s *Store) index(k elemKey) {
 	s.idxMu.Unlock()
 }
 
-// appendPoint pushes p into the series, stepping evicted raw points down
-// into their downsample bucket and enforcing the retention horizon.
-func (s *Store) appendPoint(sr *series, p Point) {
-	if last, ok := sr.raw.last(); ok {
-		if p.TS == last.TS {
-			sr.raw.setLast(p)
-			return
+// advance moves the timeline to the record at ts being appended to es
+// and returns the raw slot its attrs on the timeline write, or -1 when
+// the record writes none of them there. A record at the newest instant
+// overwrites; an older one is dropped; a newer one that omits some of the
+// timeline's attrs first moves those to a copy of the timeline, then
+// appends a point for the rest, stepping an evicted raw point down into
+// its downsample bucket and enforcing the retention horizon.
+func (s *Store) advance(es *elemSeries, tl *timeline, ts int64) int {
+	if r := &tl.raw; r.n > 0 {
+		last := r.slot(r.n - 1)
+		if ts == r.ts[last] {
+			return last
 		}
-		if p.TS < last.TS {
-			return // out of order: monitor sweeps only move forward
+		if ts < r.ts[last] {
+			return -1 // out of order: monitor sweeps only move forward
 		}
 	}
-	s.appends.Add(1)
-	s.resident.Add(1)
+	carried := 0
+	for _, c := range tl.cols {
+		if c.seen == es.records {
+			carried++
+		}
+	}
+	if carried == 0 {
+		return -1
+	}
+	if carried < len(tl.cols) {
+		es.timelines = append(es.timelines, tl.split(es.records))
+	}
+	k := int64(carried)
+	s.appends.Add(k)
+	s.resident.Add(k)
 	if m := s.tel.Load(); m != nil {
-		m.appends.Inc()
+		m.appends.Add(uint64(k))
 	}
-	old, wasFull := sr.raw.push(p)
-	if wasFull {
-		// The displaced raw point steps down: last value per bucket wins.
-		s.downsampled.Add(1)
-		bucket := old.TS / int64(s.cfg.DownsampleStep)
-		if dl, ok := sr.down.last(); ok && dl.TS/int64(s.cfg.DownsampleStep) == bucket {
-			sr.down.setLast(old) // the replaced bucket value is gone
-			s.resident.Add(-1)
-			s.noteEvicted(1)
-		} else if _, full := sr.down.push(old); full {
-			s.resident.Add(-1)
-			s.noteEvicted(1)
+	slot, evicted := tl.raw.push()
+	if evicted {
+		s.stepDown(tl, slot)
+	}
+	tl.raw.ts[slot] = ts
+	// Retention: drop downsampled points behind the horizon.
+	horizon := ts - int64(s.cfg.Retention)
+	for d := &tl.down; d.n > 0 && d.ts[d.head] < horizon; {
+		d.head = (d.head + 1) % len(d.ts)
+		d.n--
+		s.resident.Add(-k)
+		s.noteEvicted(k)
+	}
+	return slot
+}
+
+// stepDown folds the raw point in slot from into its downsample bucket:
+// last value per bucket wins.
+func (s *Store) stepDown(tl *timeline, from int) {
+	k := int64(len(tl.cols))
+	s.downsampled.Add(k)
+	ts, d := tl.raw.ts[from], &tl.down
+	step := int64(s.cfg.DownsampleStep)
+	var to int
+	if d.n > 0 && d.ts[d.slot(d.n-1)]/step == ts/step {
+		to = d.slot(d.n - 1) // the replaced bucket value is gone
+		s.resident.Add(-k)
+		s.noteEvicted(k)
+	} else {
+		var evicted bool
+		if to, evicted = d.push(); evicted {
+			s.resident.Add(-k)
+			s.noteEvicted(k)
 		}
 	}
-	// Retention: drop downsampled points behind the horizon.
-	horizon := p.TS - int64(s.cfg.Retention)
-	for sr.down.n > 0 && sr.down.at(0).TS < horizon {
-		sr.down.popOldest()
-		s.resident.Add(-1)
-		s.noteEvicted(1)
+	d.ts[to] = ts
+	for _, c := range tl.cols {
+		c.down[to] = c.raw[from]
 	}
 }
 
@@ -418,11 +512,10 @@ func (s *Store) Attrs(tid core.TenantID, eid core.ElementID) []string {
 	if es == nil {
 		return nil
 	}
-	out := make([]string, 0, len(es.attrs))
-	for a := range es.attrs {
-		out = append(out, core.AttrName(a))
+	out := make([]string, len(es.byName))
+	for i, c := range es.byName {
+		out[i] = core.AttrName(c.id)
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -459,8 +552,8 @@ func (s *Store) Series(tid core.TenantID, eid core.ElementID, attr string, from,
 	if es == nil {
 		return nil
 	}
-	sr := es.attrs[id]
-	if sr == nil {
+	c := es.attrs[id]
+	if c == nil {
 		return nil
 	}
 	var out []Point
@@ -468,8 +561,8 @@ func (s *Store) Series(tid core.TenantID, eid core.ElementID, attr string, from,
 		out = append(out, p)
 		return limit <= 0 || len(out) < limit
 	}
-	if sr.down.scan(from, to, keep) {
-		sr.raw.scan(from, to, keep)
+	if c.tl.down.scan(c.down, from, to, keep) {
+		c.tl.raw.scan(c.raw, from, to, keep)
 	}
 	return out
 }
@@ -497,18 +590,35 @@ func (s *Store) At(tid core.TenantID, eid core.ElementID, asOf int64) (core.Reco
 // capacity must hold len(es.byName) attrs.
 func (es *elemSeries) record(eid core.ElementID, asOf int64, dst []core.Attr) (core.Record, bool) {
 	rec := core.Record{Element: eid, Attrs: dst}
-	for _, ns := range es.byName {
-		p, ok := ns.sr.raw.before(asOf)
-		if !ok {
-			p, ok = ns.sr.down.before(asOf)
+	// Columns on one timeline find their slot together: byName visits a
+	// timeline's columns in runs, most often all of them in one.
+	var (
+		tl        *timeline
+		slot      int
+		inRaw, ok bool
+	)
+	for _, c := range es.byName {
+		if c.tl != tl {
+			tl = c.tl
+			slot, inRaw = tl.raw.before(asOf)
+			ok = inRaw
+			if !ok {
+				slot, ok = tl.down.before(asOf)
+			}
 		}
 		if !ok {
 			continue
 		}
-		a := core.Attr{ID: ns.id, Value: p.V}
+		var p Point
+		if inRaw {
+			p = Point{TS: tl.raw.ts[slot], V: c.raw[slot]}
+		} else {
+			p = Point{TS: tl.down.ts[slot], V: c.down[slot]}
+		}
+		a := core.Attr{ID: c.id, Value: p.V}
 		// Attach the stored summary blob when it had been produced by
 		// asOf; queries into deeper history get the epoch series alone.
-		if bs, hasBlob := es.blobs[ns.id]; hasBlob && bs.ts <= asOf {
+		if bs, hasBlob := es.blobs[c.id]; hasBlob && bs.ts <= asOf {
 			a.Payload = bs.blob
 		}
 		rec.Attrs = append(rec.Attrs, a)

@@ -126,28 +126,3 @@ func TestSmartCacheSnapshotAttrs(t *testing.T) {
 		t.Fatalf("cache_hit_ratio = %v; want %v", got, sc.HitRatio())
 	}
 }
-
-// TestMboxKindRoundTrip: every kind's display name resolves back to the
-// kind, and the app factory returns the dedicated models for the new kinds.
-func TestMboxKindRoundTrip(t *testing.T) {
-	kinds := []MboxKind{KindProxy, KindLB, KindCache, KindRE, KindIPS,
-		KindFirewall, KindNAT, KindTranscoder, KindIDS, KindSmartCache}
-	for _, k := range kinds {
-		got, ok := MboxKindFromString(k.String())
-		if !ok || got != k {
-			t.Fatalf("round trip failed for %v: got %v ok=%v", k, got, ok)
-		}
-	}
-	if _, ok := MboxKindFromString("bogus"); ok {
-		t.Fatal("bogus kind resolved")
-	}
-	if _, ok := NewAppOfKind(KindIDS, "m/v/a", 1e9, &fastOutput{}).(*IDS); !ok {
-		t.Fatal("NewAppOfKind(KindIDS) is not an *IDS")
-	}
-	if _, ok := NewAppOfKind(KindSmartCache, "m/v/a", 1e9, &fastOutput{}).(*SmartCache); !ok {
-		t.Fatal("NewAppOfKind(KindSmartCache) is not a *SmartCache")
-	}
-	if _, ok := NewAppOfKind(KindProxy, "m/v/a", 1e9, &fastOutput{}).(*Forwarder); !ok {
-		t.Fatal("NewAppOfKind(KindProxy) is not a *Forwarder")
-	}
-}

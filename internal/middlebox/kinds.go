@@ -1,9 +1,6 @@
 package middlebox
 
-import (
-	"perfsight/internal/core"
-	"perfsight/internal/machine"
-)
+import "perfsight/internal/core"
 
 // MboxKind names the middlebox types used across the evaluation (Fig 15
 // compares their instrumentation overhead).
@@ -26,8 +23,7 @@ const (
 	KindSmartCache
 )
 
-// kindNames holds the display names in kind order; MboxKindFromString
-// accepts exactly these.
+// kindNames holds the display names in kind order.
 var kindNames = [...]string{
 	KindProxy:      "proxy",
 	KindLB:         "lb",
@@ -49,21 +45,10 @@ func (k MboxKind) String() string {
 	return "unknown"
 }
 
-// MboxKindFromString resolves a display name (as used in lab flags) back
-// to its kind.
-func MboxKindFromString(s string) (MboxKind, bool) {
-	for k, name := range kindNames {
-		if name == s {
-			return MboxKind(k), true
-		}
-	}
-	return 0, false
-}
-
 // NewOfKind builds a forwarding middlebox of the named kind with its
 // representative costs. Kinds that are not plain Forwarders (IDS,
-// SmartCache) fall back to their closest Forwarder approximation here;
-// use NewAppOfKind to get the real models.
+// SmartCache) fall back to their closest Forwarder approximation; NewIDS
+// and NewSmartCache build the real models.
 func NewOfKind(k MboxKind, id core.ElementID, capacityBps float64, out Output) *Forwarder {
 	switch k {
 	case KindLB:
@@ -84,20 +69,5 @@ func NewOfKind(k MboxKind, id core.ElementID, capacityBps float64, out Output) *
 		return NewTranscoder(id, capacityBps, out)
 	default:
 		return NewProxy(id, capacityBps, out)
-	}
-}
-
-// NewAppOfKind builds a middlebox app of the named kind. Unlike NewOfKind
-// it can return the kinds that are not Forwarders — the IDS with its drop
-// behavior and the warming SmartCache — so scenario builders can place any
-// kind by name.
-func NewAppOfKind(k MboxKind, id core.ElementID, capacityBps float64, out Output) machine.App {
-	switch k {
-	case KindIDS:
-		return NewIDS(id, capacityBps, out)
-	case KindSmartCache:
-		return NewSmartCache(id, capacityBps, out)
-	default:
-		return NewOfKind(k, id, capacityBps, out)
 	}
 }

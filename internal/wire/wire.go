@@ -385,10 +385,3 @@ func (f *AttrFilter) Apply(rec core.Record) core.Record {
 	}
 	return out
 }
-
-// FilterAttrs returns a copy of rec keeping only the named attributes
-// (all when names is empty). Callers filtering many records against the
-// same names should build one AttrFilter instead.
-func FilterAttrs(rec core.Record, names []string) core.Record {
-	return NewAttrFilter(names).Apply(rec)
-}

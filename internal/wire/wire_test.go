@@ -148,7 +148,7 @@ func TestFilterAttrs(t *testing.T) {
 	rec := core.Record{Element: "e", Attrs: []core.Attr{
 		core.NamedAttr("a", 1), core.NamedAttr("b", 2), core.NamedAttr("c", 3),
 	}}
-	got := FilterAttrs(rec, []string{"c", "a", "missing"})
+	got := NewAttrFilter([]string{"c", "a", "missing"}).Apply(rec)
 	if len(got.Attrs) != 2 {
 		t.Fatalf("filtered attrs: %v", got.Attrs)
 	}
@@ -156,7 +156,7 @@ func TestFilterAttrs(t *testing.T) {
 		t.Fatal("filter lost value")
 	}
 	// Empty filter passes everything through untouched.
-	if all := FilterAttrs(rec, nil); len(all.Attrs) != 3 {
+	if all := NewAttrFilter(nil).Apply(rec); len(all.Attrs) != 3 {
 		t.Fatal("nil filter dropped attrs")
 	}
 }
